@@ -15,13 +15,14 @@ domain errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .errors import BoundaryLayerError
 from .model import make_parameter, pohlhausen_skin_friction, reference_table
 from .shooting import ShootingConfig, matched_grid, solve_by_shooting
-from .transform import TransformResult, solve
+from .transform import solve
 
 __all__ = ["main"]
 
@@ -54,11 +55,18 @@ def _parse_p_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of reals: {text!r}")
 
 
-def _solve_cli(p: float, step: float | None, eta_inf: str) -> TransformResult:
-    param = make_parameter(p)
-    if eta_inf == "auto":
-        return solve(param, step=step, eta_inf="auto")
-    return solve(param, step=step, eta_inf=float(eta_inf))
+def _positive_real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a positive finite real: {text!r}")
+    return value
+
+
+def _boundary(text: str) -> float | str:
+    return text if text == "auto" else _positive_real(text)
 
 
 def _write_profile_csv(path: Path, profile) -> None:
@@ -70,8 +78,8 @@ def _write_profile_csv(path: Path, profile) -> None:
 
 def cmd_solve(args) -> int:
     try:
-        result = _solve_cli(args.p, args.step, args.eta_inf)
-    except BoundaryLayerError as exc:
+        result = solve(make_parameter(args.p), step=args.step, eta_inf=args.eta_inf)
+    except (BoundaryLayerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     print(f"P               = {args.p:g}")
@@ -110,9 +118,9 @@ def cmd_table(args) -> int:
     for p in p_values:
         ref = reference.get(p)
         try:
-            result = solve(make_parameter(p), step=args.step, eta_inf=None if args.eta_inf is None else float(args.eta_inf))
+            result = solve(make_parameter(p), step=args.step, eta_inf=args.eta_inf)
             formula = pohlhausen_skin_friction(p)
-        except BoundaryLayerError as exc:
+        except (BoundaryLayerError, ValueError) as exc:
             print(f"{p:>5g} | {'-':>11} | {'-':>11} | {'-':>13} | {'-':>11} | {'-':>12} | {'-':>9} | failed: {exc}")
             status = max(status, _EXIT_DOMAIN)
             continue
@@ -148,7 +156,7 @@ def cmd_validate(args) -> int:
             grid = matched_grid(result, target_step=1e-3)
             config = ShootingConfig(*_ORACLE_BRACKET, grid=grid, residual_tol=1e-10)
             shot = solve_by_shooting(result.param, config)
-        except BoundaryLayerError as exc:
+        except (BoundaryLayerError, ValueError) as exc:
             print(f"{p:>5g} | {'-':>14} | {'-':>14} | {'-':>9} | failed: {exc}")
             status = max(status, _EXIT_DOMAIN)
             continue
@@ -197,21 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve for one power-law index")
     sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2, P != 0.5")
-    sp.add_argument("--step", type=float, default=None, help="grid step (default 1e-3, 1e-4 for P <= 0.1)")
-    sp.add_argument("--eta-inf", default="10", help="starred truncated boundary, a real or 'auto'")
+    sp.add_argument("--step", type=_positive_real, default=None, help="grid step (default 1e-3, 1e-4 for P <= 0.1)")
+    sp.add_argument("--eta-inf", type=_boundary, default=10.0, help="starred truncated boundary, a real or 'auto'")
     sp.add_argument("--out", default=None, help="path prefix for CSV export of both profiles")
     sp.set_defaults(func=cmd_solve)
 
     tp = sub.add_parser("table", help="reproduce the published skin-friction table")
     tp.add_argument("--p-list", type=_parse_p_list, default=None, help="comma-separated P values")
-    tp.add_argument("--step", type=float, default=None)
-    tp.add_argument("--eta-inf", default=None)
+    tp.add_argument("--step", type=_positive_real, default=None)
+    tp.add_argument("--eta-inf", type=_boundary, default=None)
     tp.set_defaults(func=cmd_table)
 
     vp = sub.add_parser("validate", help="cross-check the transform against shooting")
     vp.add_argument("--p-list", type=_parse_p_list, default=None, help="comma-separated P values")
-    vp.add_argument("--step", type=float, default=None)
-    vp.add_argument("--tol", type=float, default=_ORACLE_TOL)
+    vp.add_argument("--step", type=_positive_real, default=None)
+    vp.add_argument("--tol", type=_positive_real, default=_ORACLE_TOL)
     vp.set_defaults(func=cmd_validate)
 
     pp = sub.add_parser("pohlhausen", help="closed-form estimate vs its published column")

@@ -23,9 +23,7 @@ table of published skin-friction values used for regression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CurvatureError, DomainError
 
@@ -99,7 +97,7 @@ def reference_table() -> tuple[ReferenceRow, ...]:
 
 def _validate_index(p: float) -> float:
     p = float(p)
-    if not (p > 0.0) or not math.isfinite(p):
+    if not p > 0.0:
         raise DomainError(f"nonpositive index at P={p:g}")
     if p >= 2.0:
         raise DomainError(f"outside laminar range at P={p:g}")
@@ -121,34 +119,15 @@ def make_parameter(p: float) -> ModelParameter:
     return ModelParameter(p=p, delta=(p - 2.0) / (2.0 * p - 1.0))
 
 
-def rhs(param: ModelParameter, y) -> tuple[float, float, float]:
-    """Right-hand side of the model as a first-order system.
-
-    For y = (f, f', f'') returns (f', f'', -f (f'')^(2-P) / (P (P+1))).
-    Curvature in [-1e-12, 0) is clamped to zero; genuinely negative
-    curvature raises :class:`CurvatureError` because the fractional
-    power is not real there.
-    """
-    f, df, d2f = (float(v) for v in y)
-    if d2f < 0.0:
-        if d2f < -CURVATURE_NOISE:
-            raise CurvatureError(f"negative curvature f''={d2f:.6g} at P={param.p:g}")
-        d2f = 0.0
-    return (df, d2f, -f * d2f ** (2.0 - param.p) / (param.p * (param.p + 1.0)))
+def _clamp_window(param: ModelParameter) -> float:
+    """Most negative curvature the integrators still clamp to zero at P."""
+    return -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
 
 
-@lru_cache(maxsize=None)
-def ivp_rhs(param: ModelParameter):
-    """Time-independent closure of :func:`rhs` for the integrators.
-
-    Stage states inside a Runge-Kutta step may transiently undershoot
-    zero curvature while crossing the P > 1 touchdown, so this closure
-    clamps within ``TOUCHDOWN_WINDOW`` instead of the strict rounding
-    window the public :func:`rhs` enforces.
-    """
+def _rhs_closure(param: ModelParameter, window: float):
+    """The model right-hand side f(t, y), clamping curvature in [window, 0) to zero."""
     coef = param.p * (param.p + 1.0)
     ex = 2.0 - param.p
-    window = -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
 
     def f(t: float, y: tuple) -> tuple[float, float, float]:
         fval, df, d2f = y
@@ -161,7 +140,28 @@ def ivp_rhs(param: ModelParameter):
     return f
 
 
-@lru_cache(maxsize=None)
+def rhs(param: ModelParameter, y) -> tuple[float, float, float]:
+    """Right-hand side of the model as a first-order system.
+
+    For y = (f, f', f'') returns (f', f'', -f (f'')^(2-P) / (P (P+1))).
+    Curvature in [-1e-12, 0) is clamped to zero; genuinely negative
+    curvature raises :class:`CurvatureError` because the fractional
+    power is not real there.
+    """
+    return _rhs_closure(param, -CURVATURE_NOISE)(0.0, tuple(float(v) for v in y))
+
+
+def ivp_rhs(param: ModelParameter):
+    """Time-independent closure of :func:`rhs` for the integrators.
+
+    Stage states inside a Runge-Kutta step may transiently undershoot
+    zero curvature while crossing the P > 1 touchdown, so this closure
+    clamps within ``TOUCHDOWN_WINDOW`` instead of the strict rounding
+    window the public :func:`rhs` enforces.
+    """
+    return _rhs_closure(param, _clamp_window(param))
+
+
 def curvature_guard(param: ModelParameter):
     """Post-step projection keeping the stored curvature non-negative.
 
@@ -170,7 +170,7 @@ def curvature_guard(param: ModelParameter):
     there since the curvature equation has f''' = 0 once f'' = 0.
     Anything more negative raises a curvature sign-loss error.
     """
-    window = -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
+    window = _clamp_window(param)
 
     def guard(t: float, y: tuple) -> tuple:
         d2f = y[2]

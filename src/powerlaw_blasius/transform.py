@@ -34,7 +34,7 @@ import numpy as np
 from . import model
 from .errors import NoPlateauError
 from .model import ModelParameter
-from .runge_kutta import COOPER_VERNER_8, ButcherTableau, GridSpec, integrate
+from .runge_kutta import COOPER_VERNER_8, GridSpec, integrate
 
 __all__ = [
     "SolutionProfile",
@@ -127,11 +127,7 @@ def default_step(p: float) -> float:
     return 1e-4 if p <= 0.1 else 1e-3
 
 
-def integrate_starred(
-    param: ModelParameter,
-    grid: GridSpec,
-    tableau: ButcherTableau = COOPER_VERNER_8,
-) -> SolutionProfile:
+def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     """Integrate the model in starred variables from (0, 0, 1).
 
     The returned profile has f*''(0) = 1 exactly, non-negative
@@ -141,7 +137,7 @@ def integrate_starred(
     """
     eta, values = integrate(
         model.ivp_rhs(param),
-        tableau,
+        COOPER_VERNER_8,
         grid,
         (0.0, 0.0, 1.0),
         adjust_state=model.curvature_guard(param),
@@ -158,11 +154,7 @@ _PLATEAU_FLOOR = 64.0 * math.ulp(1.0)
 
 
 def find_truncated_boundary(
-    param: ModelParameter,
-    step: float,
-    tol: float = 1e-8,
-    start: float = 5.0,
-    tableau: ButcherTableau = COOPER_VERNER_8,
+    param: ModelParameter, step: float, tol: float = 1e-8, start: float = 5.0
 ) -> float:
     """Smallest endpoint in start, 2*start, 4*start, ... with |f*''| < tol.
 
@@ -194,7 +186,7 @@ def find_truncated_boundary(
         # grid validity is enforced by the caller-facing GridSpec below;
         # the continuation segments only need the step count
         n_more = round((endpoint - reached) / step)
-        _, seg = integrate(rhs, tableau, GridSpec(step, n_more * step), state, adjust_state=guard)
+        _, seg = integrate(rhs, COOPER_VERNER_8, GridSpec(step, n_more * step), state, adjust_state=guard)
         state = tuple(seg[-1])
         reached = endpoint
         if abs(state[2]) < tol:
@@ -236,36 +228,26 @@ def rescale_profile(starred: SolutionProfile, param: ModelParameter, lam: float)
 
 
 def solve(
-    param: ModelParameter,
-    grid: GridSpec | None = None,
-    *,
-    step: float | None = None,
-    eta_inf: float | str | None = None,
-    boundary_tol: float = 1e-8,
-    boundary_start: float = 5.0,
-    tableau: ButcherTableau = COOPER_VERNER_8,
+    param: ModelParameter, *, step: float | None = None, eta_inf: float | str | None = None
 ) -> TransformResult:
     """Run the full non-iterative pipeline for one parameter value.
 
-    Either pass an explicit ``grid``, or let ``step``/``eta_inf`` build
-    one (defaults: step from :func:`default_step`, endpoint 10.0, the
-    published benchmark settings).  ``eta_inf="auto"`` invokes
-    :func:`find_truncated_boundary` with ``boundary_tol`` and
-    ``boundary_start``.
+    Two knobs set the starred grid: ``step`` (default
+    :func:`default_step`) and the truncated boundary ``eta_inf``
+    (default 10.0; with the default step that is the published benchmark
+    grid).  ``eta_inf="auto"`` picks the boundary with
+    :func:`find_truncated_boundary` at its default tolerance and start.
+    The boundary must be an integer multiple of the step, else
+    :class:`GridSpec` raises ``ValueError``.
     """
-    if grid is None:
-        h = default_step(param.p) if step is None else float(step)
-        if eta_inf == "auto":
-            endpoint = find_truncated_boundary(
-                param, h, tol=boundary_tol, start=boundary_start, tableau=tableau
-            )
-        else:
-            endpoint = 10.0 if eta_inf is None else float(eta_inf)
-        grid = GridSpec(h, endpoint)
-    elif step is not None or eta_inf is not None:
-        raise ValueError("pass either grid or step/eta_inf, not both")
+    h = default_step(param.p) if step is None else float(step)
+    if eta_inf == "auto":
+        endpoint = find_truncated_boundary(param, h)
+    else:
+        endpoint = 10.0 if eta_inf is None else float(eta_inf)
+    grid = GridSpec(h, endpoint)
 
-    starred = integrate_starred(param, grid, tableau=tableau)
+    starred = integrate_starred(param, grid)
     slope = float(starred.df[-1])
     lam = recover_lambda(param, slope)
     skin = lam ** (2.0 * param.delta - 1.0)

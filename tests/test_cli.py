@@ -126,3 +126,26 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as err:
             main(["table", "--p-list", "1,spam"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--p", "1", "--step", "0"],
+        ["solve", "--p", "1", "--step", "0.003"],
+        ["solve", "--p", "1", "--eta-inf", "abc"],
+        ["solve", "--p", "1", "--eta-inf", "-5"],
+        ["solve", "--p", "1", "--eta-inf", "inf"],
+        ["table", "--p-list", "1", "--eta-inf", "abc"],
+        ["table", "--p-list", "1", "--step", "-1"],
+        ["validate", "--p-list", "1", "--step", "0.003"],
+        ["validate", "--p-list", "1", "--tol", "nan"],
+    ])
+    def test_bad_argument_is_one_line_exit_2(self, capsys, argv):
+        # rejected by argparse (SystemExit) or by the grid check (return code)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        lines = (captured.out + captured.err).splitlines()
+        assert len([line for line in lines if "error:" in line or "failed:" in line]) == 1

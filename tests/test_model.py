@@ -13,6 +13,7 @@ from powerlaw_blasius import (
     reference_table,
     rhs,
 )
+from powerlaw_blasius.model import ivp_rhs
 
 valid_index = st.floats(min_value=1e-4, max_value=1.9999).filter(lambda p: abs(p - 0.5) > 1e-9)
 
@@ -33,6 +34,7 @@ class TestMakeParameter:
         (2.0, "outside laminar range"),
         (2.5, "outside laminar range"),
         (float("nan"), "nonpositive index"),
+        (float("inf"), "outside laminar range"),
     ])
     def test_rejected_indices(self, p, message):
         with pytest.raises(DomainError, match=message.replace("=", "=")):
@@ -82,6 +84,36 @@ class TestRhs:
         assert out == (df, d2f, -f * d2f / 2.0)
 
     @given(
+        p=st.floats(min_value=1e-4, max_value=1.0).filter(lambda p: p != 0.5),
+        f=st.floats(min_value=-3.0, max_value=3.0),
+        df=st.floats(min_value=-2.0, max_value=2.0),
+        d2f=st.floats(min_value=-1e-11, max_value=2.0),
+    )
+    @settings(max_examples=300)
+    def test_integrator_closure_is_rhs_up_to_newtonian(self, p, f, df, d2f):
+        # for P <= 1 the integrators clamp in the same rounding window as
+        # rhs, so both must agree bit for bit, errors included
+        def outcome(call):
+            try:
+                return [v.hex() for v in call()]
+            except CurvatureError as exc:
+                return str(exc)
+
+        param = make_parameter(p)
+        y = (f, df, d2f)
+        assert outcome(lambda: rhs(param, y)) == outcome(lambda: ivp_rhs(param)(0.0, y))
+
+    def test_touchdown_window_only_in_integrator_closure(self):
+        # for P > 1 stage states may undershoot the touchdown; only the
+        # integrator closure clamps them, the public rhs stays strict
+        param = make_parameter(1.5)
+        y = (1.0, 0.5, -1e-6)
+        with pytest.raises(CurvatureError, match="negative curvature"):
+            rhs(param, y)
+        out = ivp_rhs(param)(0.0, y)
+        assert out[1] == 0.0 and out[2] == 0.0
+
+    @given(
         p=st.floats(min_value=0.05, max_value=1.9).filter(lambda p: abs(p - 0.5) > 0.05),
         lam=st.floats(min_value=0.5, max_value=2.0),
         f=st.floats(min_value=0.1, max_value=3.0),
@@ -124,7 +156,11 @@ class TestPohlhausen:
         # 0.5 is singular for the scaling group, not for the estimate
         assert pohlhausen_skin_friction(0.5) > 0.0
 
-    @pytest.mark.parametrize("p,message", [(0.0, "nonpositive index"), (2.0, "outside laminar range")])
+    @pytest.mark.parametrize("p,message", [
+        (0.0, "nonpositive index"),
+        (2.0, "outside laminar range"),
+        (float("inf"), "outside laminar range"),
+    ])
     def test_domain(self, p, message):
         with pytest.raises(DomainError, match=message):
             pohlhausen_skin_friction(p)

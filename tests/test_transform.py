@@ -219,12 +219,8 @@ class TestSolve:
     def test_small_index_regression(self, solve_cached):
         assert abs(solve_cached(0.05).skin_friction - 1.540752) <= 5e-3
 
-    def test_grid_and_step_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            solve(make_parameter(1.0), GridSpec(0.01, 10.0), step=0.01)
-
     def test_explicit_grid_object(self):
-        result = solve(make_parameter(1.0), GridSpec(0.01, 10.0))
+        result = solve(make_parameter(1.0), step=0.01)
         assert abs(result.skin_friction - BLASIUS_SKIN) <= 1e-6
 
     def test_auto_boundary(self):
