@@ -13,9 +13,10 @@ param = make_parameter(1.0)
 print(f"P = {param.p}, scaling exponent delta = {param.delta}")
 
 # Step 1: where can we truncate the infinite domain?  Double the endpoint
-# until the rescaled wall shear has decayed below 1e-8.
-boundary = find_truncated_boundary(param, step=0.001, tol=1e-8, start=5.0)
-print(f"truncated boundary found by trial: eta*_inf = {boundary}")
+# from 5 until the starred wall shear has decayed below 1e-8; the search
+# returns the starred profile it integrated on the way.
+boundary = find_truncated_boundary(param, step=0.001).abscissae[-1]
+print(f"truncated boundary found by trial: eta*_inf = {boundary:g}")
 
 # Step 2: one initial-value integration with unit curvature, one rescale.
 result = solve(param, step=0.001, eta_inf=boundary)

@@ -40,6 +40,10 @@ RhsFunction = Callable[[float, tuple], Sequence[float]]
 #: boundary-layer runs stay below ~1e4, so this only trips on blow-up.
 STATE_LIMIT = 1e12
 
+#: Largest grid a GridSpec accepts: 10**7 steps store 240 MB of states
+#: and take minutes to step (the finest grid in use has 640 000).
+MAX_STEP_COUNT = 10**7
+
 _CONSISTENCY_TOL = 1e-14
 
 
@@ -107,7 +111,7 @@ class GridSpec:
 
     The endpoint must be an integer multiple of the step (relative
     tolerance 1e-12) so the final node lands on it exactly, and the grid
-    must contain at least ten steps.
+    must contain at least ten and at most ``MAX_STEP_COUNT`` steps.
     """
 
     step: float
@@ -120,9 +124,12 @@ class GridSpec:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if not (self.endpoint > 0.0 and math.isfinite(self.endpoint)):
             raise ValueError(f"endpoint must be positive, got {self.endpoint!r}")
-        n = round(self.endpoint / self.step)
+        ratio = self.endpoint / self.step
+        if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
+            raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
+        n = round(ratio)
         if n < 10:
-            raise ValueError(f"endpoint/step = {self.endpoint / self.step:.3g}: need at least 10 steps")
+            raise ValueError(f"endpoint/step = {ratio:.3g}: need at least 10 steps")
         if abs(n * self.step - self.endpoint) > 1e-12 * self.endpoint:
             raise ValueError(
                 f"endpoint {self.endpoint!r} is not an integer multiple of step {self.step!r}"

@@ -26,7 +26,6 @@ would yield f''(0) ~ 3.01 instead of 0.332057336215.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,56 +144,45 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     return SolutionProfile(frame="starred", abscissae=eta, values=values)
 
 
-#: Hard cap on the truncated-boundary doubling search: start * 2**10.
+#: Truncated-boundary search: the first candidate, the wall shear
+#: |f*''(E)| that accepts a candidate, and the number of doublings.
+_SEARCH_START = 5.0
+_SEARCH_TOL = 1e-8
 _DOUBLING_CAP = 10
 
-#: No curvature plateau measured in double precision can be certified
-#: below this; requesting less raises NoPlateauError immediately.
-_PLATEAU_FLOOR = 64.0 * math.ulp(1.0)
 
-
-def find_truncated_boundary(
-    param: ModelParameter, step: float, tol: float = 1e-8, start: float = 5.0
-) -> float:
-    """Smallest endpoint in start, 2*start, 4*start, ... with |f*''| < tol.
+def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfile:
+    """Starred profile up to the first of 5, 10, 20, ... with |f*''| < 1e-8.
 
     Operationalizes truncation "found by trial": the wall-shear decay
-    |f*''(E)| < tol certifies that the slope has stopped changing, and
-    hands back the first doubling candidate that satisfies it (for the
-    Newtonian case with the defaults this lands on the benchmark
-    boundary 10).  The integration continues across candidates instead
-    of restarting, which is bit-identical for a fixed-step scheme.
+    |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
+    the Newtonian case E lands on the benchmark boundary 10).  The
+    integration continues across candidates and keeps every segment, so
+    the profile equals :func:`integrate_starred` on ``GridSpec(step, E)``
+    bit for bit; segments are counted from the wall, so a step that does
+    not divide 5 still lands on the later candidates.
 
-    Raises :class:`NoPlateauError` when the tolerance lies below the
-    double-precision floor or the doubling cap (2**10 * start) is
-    exhausted.
+    Raises ``ValueError`` when 5 spans fewer than ten steps or E is not a
+    multiple of the step, and :class:`NoPlateauError` once the doubling
+    cap (2**10 * 5) is exhausted.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if not start >= 10.0 * step:
-        raise ValueError("start must be at least 10 steps")
-    if tol < _PLATEAU_FLOOR:
-        raise NoPlateauError(
-            f"no plateau: tolerance {tol:g} is below the attainable rounding floor {_PLATEAU_FLOOR:.3g}"
-        )
     rhs = model.ivp_rhs(param)
     guard = model.curvature_guard(param)
-    state = (0.0, 0.0, 1.0)
-    reached = 0.0
-    endpoint = float(start)
+    segments = [np.array([(0.0, 0.0, 1.0)])]
+    done = 0
+    endpoint = _SEARCH_START
     for _ in range(_DOUBLING_CAP + 1):
-        # grid validity is enforced by the caller-facing GridSpec below;
-        # the continuation segments only need the step count
-        n_more = round((endpoint - reached) / step)
-        _, seg = integrate(rhs, COOPER_VERNER_8, GridSpec(step, n_more * step), state, adjust_state=guard)
-        state = tuple(seg[-1])
-        reached = endpoint
-        if abs(state[2]) < tol:
-            GridSpec(step, endpoint)
-            return endpoint
+        n_more = round(endpoint / step) - done
+        grid = GridSpec(step, n_more * step)
+        _, seg = integrate(rhs, COOPER_VERNER_8, grid, segments[-1][-1], adjust_state=guard)
+        segments.append(seg[1:])
+        done += n_more
+        if abs(seg[-1, 2]) < _SEARCH_TOL:
+            eta = GridSpec(step, endpoint).abscissae()
+            return SolutionProfile(frame="starred", abscissae=eta, values=np.concatenate(segments))
         endpoint *= 2.0
     raise NoPlateauError(
-        f"no plateau: |f*''| stayed above {tol:g} up to {reached:g} (P={param.p:g})"
+        f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint / 2.0:g} (P={param.p:g})"
     )
 
 
@@ -235,26 +223,24 @@ def solve(
     Two knobs set the starred grid: ``step`` (default
     :func:`default_step`) and the truncated boundary ``eta_inf``
     (default 10.0; with the default step that is the published benchmark
-    grid).  ``eta_inf="auto"`` picks the boundary with
-    :func:`find_truncated_boundary` at its default tolerance and start.
-    The boundary must be an integer multiple of the step, else
-    :class:`GridSpec` raises ``ValueError``.
+    grid).  ``eta_inf="auto"`` takes the starred profile the boundary
+    search :func:`find_truncated_boundary` integrated, so the starred
+    problem is integrated once either way.  The boundary must be an
+    integer multiple of the step, else :class:`GridSpec` raises
+    ``ValueError``.
     """
     h = default_step(param.p) if step is None else float(step)
     if eta_inf == "auto":
-        endpoint = find_truncated_boundary(param, h)
+        starred = find_truncated_boundary(param, h)
     else:
-        endpoint = 10.0 if eta_inf is None else float(eta_inf)
-    grid = GridSpec(h, endpoint)
-
-    starred = integrate_starred(param, grid)
+        starred = integrate_starred(param, GridSpec(h, 10.0 if eta_inf is None else float(eta_inf)))
     slope = float(starred.df[-1])
     lam = recover_lambda(param, slope)
     skin = lam ** (2.0 * param.delta - 1.0)
     physical = rescale_profile(starred, param, lam)
     return TransformResult(
         param=param,
-        truncated_boundary=grid.endpoint,
+        truncated_boundary=float(starred.abscissae[-1]),
         starred_slope_at_infinity=slope,
         lam=lam,
         skin_friction=skin,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -55,6 +56,20 @@ class TestSolveCommand:
         assert run(capsys, "solve", "--p", "0.8", "--out", str(b))[0] == 0
         for suffix in ("_starred.csv", "_physical.csv"):
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    def test_auto_csv_export_golden(self, tmp_path, capsys):
+        # E = 20 at P = 0.8: the searched profile joins segments at eta* = 5
+        # and 10; the hashes are those of one integration from the wall
+        prefix = tmp_path / "prof"
+        argv = ["solve", "--p", "0.8", "--step", "0.01", "--eta-inf", "auto", "--out", str(prefix)]
+        assert run(capsys, *argv)[0] == 0
+        golden = {
+            "starred": "191a634dab717d79d89f1f4c01844359d861551b2d194b7fc16a63cab4e15f48",
+            "physical": "bc5d32b948b2b5096b28d1c7743bc9eddb0000b6da4d7c49de7503c93dfc27ec",
+        }
+        for frame, digest in golden.items():
+            data = (tmp_path / f"prof_{frame}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--p", "0.8", "--out", str(tmp_path / "missing" / "prof"))
@@ -137,6 +152,9 @@ class TestArgumentHandling:
         ["table", "--p-list", "1", "--step", "-1"],
         ["validate", "--p-list", "1", "--step", "0.003"],
         ["validate", "--p-list", "1", "--tol", "nan"],
+        ["solve", "--p", "1", "--step", "1e-7"],
+        ["solve", "--p", "1", "--step", "1e-7", "--eta-inf", "auto"],
+        ["solve", "--p", "1", "--step", "1e-320"],
     ])
     def test_bad_argument_is_one_line_exit_2(self, capsys, argv):
         # rejected by argparse (SystemExit) or by the grid check (return code)

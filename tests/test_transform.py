@@ -13,6 +13,7 @@ from powerlaw_blasius import (
     rescale_profile,
     solve,
 )
+from powerlaw_blasius import transform
 
 #: Published nine-digit wall shear for the Newtonian case on the
 #: benchmark grid (step 1e-3, truncated boundary 10).
@@ -78,24 +79,33 @@ class TestSolutionProfileValidation:
 
 class TestFindTruncatedBoundary:
     def test_newtonian_lands_on_benchmark_boundary(self):
-        assert find_truncated_boundary(make_parameter(1.0), 0.001, tol=1e-8, start=5.0) == 10.0
-
-    def test_unreachable_tolerance(self):
-        with pytest.raises(NoPlateauError, match="rounding floor"):
-            find_truncated_boundary(make_parameter(1.0), 0.001, tol=1e-30, start=5.0)
+        assert find_truncated_boundary(make_parameter(1.0), 0.001).abscissae[-1] == 10.0
 
     def test_shear_thinning_boundary_regression(self):
         # algebraic curvature decay pushes the plateau far out; value is a
         # frozen regression constant from running the doubling procedure
-        assert find_truncated_boundary(make_parameter(0.3), 0.001, tol=1e-8, start=5.0) == 640.0
+        assert find_truncated_boundary(make_parameter(0.3), 0.001).abscissae[-1] == 640.0
+
+    @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032)])
+    def test_profile_is_the_starred_integration(self, p, step):
+        # the segments joined across candidates reproduce one integration
+        # from the wall bit for bit; step 0.0032 does not divide the first
+        # candidate 5, so it pins counting segment lengths from the wall
+        param = make_parameter(p)
+        searched = find_truncated_boundary(param, step)
+        direct = integrate_starred(param, GridSpec(step, searched.abscissae[-1]))
+        assert searched.frame == "starred"
+        assert np.array_equal(searched.abscissae, direct.abscissae)
+        assert np.array_equal(searched.values, direct.values)
+
+    def test_doubling_cap_exhausted(self, monkeypatch):
+        monkeypatch.setattr(transform, "_DOUBLING_CAP", 0)
+        with pytest.raises(NoPlateauError, match="up to 5 "):
+            find_truncated_boundary(make_parameter(0.3), 0.01)
 
     def test_start_must_cover_ten_steps(self):
         with pytest.raises(ValueError, match="10 steps"):
-            find_truncated_boundary(make_parameter(1.0), 0.001, start=0.005)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            find_truncated_boundary(make_parameter(1.0), 0.001, tol=0.0)
+            solve(make_parameter(1.0), step=1.0, eta_inf="auto")
 
 
 class TestRecoverLambda:
