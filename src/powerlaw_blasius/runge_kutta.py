@@ -1,8 +1,10 @@
 """Fixed-step explicit Runge-Kutta integration for small first-order systems.
 
 The boundary-layer solvers in this package integrate a three-component
-state (f, f', f'') over 10^4 - 10^6 uniform steps, so the stepping core
-works on plain float tuples; numpy enters only at the output surface.
+state (f, f', f'') over 10^4 - 10^6 uniform steps, so the stepping loop
+is straight-line Python over local floats: it is generated from the
+tableau on first use, once per tableau and state dimension, and numpy
+enters only to store each step's state.  Nothing is compiled at import.
 Two schemes are embedded as literal tableau constants:
 
 * ``COOPER_VERNER_8`` -- the 11-stage explicit method of order 8 by
@@ -91,6 +93,12 @@ class ButcherTableau:
         terms = tuple((j, b) for j, b in enumerate(weights) if b != 0.0)
         object.__setattr__(self, "_stage_rows", rows)
         object.__setattr__(self, "_weight_terms", terms)
+        # stepping loops by state dimension, generated on first use (see _kernel)
+        object.__setattr__(self, "_kernels", {})
+
+    def __getstate__(self):
+        # the generated loops are not picklable; a copy builds its own
+        return {**self.__dict__, "_kernels": {}}
 
     @property
     def stage_count(self) -> int:
@@ -224,38 +232,75 @@ CLASSIC_RK4 = ButcherTableau(
 )
 
 
-def _step(rhs, nodes, stage_rows, weight_terms, t: float, y: tuple, h: float) -> tuple:
-    """One explicit RK step from (t, y); y is a tuple of floats."""
-    idx = range(len(y))
-    isfinite = math.isfinite
-    k = []
-    append = k.append
-    stage = 0
-    for ci, row in zip(nodes, stage_rows):
-        if row:
-            ys = list(y)
-            for j, a in row:
-                ha = h * a
-                kj = k[j]
-                for m in idx:
-                    ys[m] += ha * kj[m]
-            ts = t + ci * h
-            ki = rhs(ts, tuple(ys))
-        else:
-            ts = t + ci * h
-            ki = rhs(ts, y)
-        for v in ki:
-            if not isfinite(v):
-                raise RhsBlowUpError(ts, stage)
-        append(ki)
-        stage += 1
-    out = list(y)
-    for j, b in weight_terms:
-        hb = h * b
-        kj = k[j]
-        for m in idx:
-            out[m] += hb * kj[m]
-    return tuple(out)
+#: Skeleton of the stepping loop; _kernel fills in one line per hoisted
+#: product, four per stage and one per state component.
+_KERNEL_SOURCE = """
+def kernel(rhs, adjust_state, out, y, t0, h, limit):
+{products}
+    {state} = y
+    t = t0
+    for i in range(1, len(out)):
+        t_next = t0 + i * h
+{stages}
+{update}
+        if adjust_state is not None:
+            {state} = adjust_state(t_next, {state})
+        # NaN fails the chained comparison too, so this covers non-finite
+        if not ({bounded}):
+            raise StateBlowUpError(t_next, limit)
+        out[i] = {state}
+        t = t_next
+"""
+
+
+def _kernel(tableau: ButcherTableau, dim: int):
+    """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
+
+    ``kernel(rhs, adjust_state, out, y, t0, h, limit)`` steps from state
+    ``y`` at time ``t0`` and stores step i's state in ``out[i]``.  Stage
+    states sum their terms in ``_stage_rows`` order and the update in
+    ``_weight_terms`` order, so the bits are those of the term-by-term
+    sparse tableau; only the products h*a, c*h and h*b are hoisted.
+    """
+    if dim in tableau._kernels:
+        return tableau._kernels[dim]
+
+    def each(fmt: str, sep: str = ", ") -> str:
+        return sep.join(fmt.format(m=m) for m in range(dim))
+
+    products, stages = [], []
+    for i, (c, row) in enumerate(zip(tableau.nodes, tableau._stage_rows)):
+        products += [f"    ha{i}_{j} = h * {a!r}" for j, a in row]
+        products.append(f"    hc{i} = {c!r} * h")
+        terms = "".join(f" + ha{i}_{j} * k{j}_{{m}}" for j, _ in row)
+        stages += [
+            f"        ts = t + hc{i}",
+            f"        ({each(f'k{i}_{{m}}')},) = rhs(ts, ({each('y{m}' + terms)},))",
+            f"        if not ({each(f'isfinite(k{i}_{{m}})', ' and ')}):",
+            f"            raise RhsBlowUpError(ts, {i})",
+        ]
+    products += [f"    hb{j} = h * {b!r}" for j, b in tableau._weight_terms]
+    terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in tableau._weight_terms)
+    source = _KERNEL_SOURCE.format(
+        products="\n".join(products),
+        state=f"({each('y{m}')},)",
+        stages="\n".join(stages),
+        update=each(f"        y{{m}} = y{{m}}{terms}", "\n"),
+        bounded=each("-limit <= y{m} <= limit", " and "),
+    )
+    namespace = {"isfinite": math.isfinite, "RhsBlowUpError": RhsBlowUpError, "StateBlowUpError": StateBlowUpError}
+    exec(compile(source, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
+    tableau._kernels[dim] = namespace["kernel"]
+    return namespace["kernel"]
+
+
+def _initial_state(y0) -> tuple:
+    """y0 as a tuple of floats; ValueError unless every component is finite."""
+    y = tuple(float(v) for v in y0)
+    for v in y:
+        if not math.isfinite(v):
+            raise ValueError("initial state must be finite")
+    return y
 
 
 def single_step(rhs: RhsFunction, tableau: ButcherTableau, t: float, y, h: float) -> np.ndarray:
@@ -263,18 +308,16 @@ def single_step(rhs: RhsFunction, tableau: ButcherTableau, t: float, y, h: float
 
     ``rhs(t, y)`` receives the state as a tuple of floats and must return
     one derivative per component.  Deterministic: identical inputs give
-    bit-identical output.  Raises :class:`RhsBlowUpError` if any stage
-    evaluates non-finite.
+    bit-identical output.  Runs the loop :func:`integrate` runs, so it
+    raises :class:`RhsBlowUpError` if any stage evaluates non-finite and
+    :class:`StateBlowUpError` if a component ends beyond ``STATE_LIMIT``.
     """
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
-    y0 = tuple(float(v) for v in y)
-    for v in y0:
-        if not math.isfinite(v):
-            raise ValueError("initial state must be finite")
-    return np.array(
-        _step(rhs, tableau.nodes, tableau._stage_rows, tableau._weight_terms, float(t), y0, h)
-    )
+    y0 = _initial_state(y)
+    out = np.empty((2, len(y0)))
+    _kernel(tableau, len(y0))(rhs, None, out, y0, float(t), h, STATE_LIMIT)
+    return out[1]
 
 
 def integrate(
@@ -296,26 +339,8 @@ def integrate(
     Raises :class:`RhsBlowUpError` on a non-finite stage evaluation and
     :class:`StateBlowUpError` when any component exceeds ``STATE_LIMIT``.
     """
-    y = tuple(float(v) for v in y0)
-    for v in y:
-        if not math.isfinite(v):
-            raise ValueError("initial state must be finite")
-    n = grid.step_count
-    h = grid.step
-    nodes = tableau.nodes
-    stage_rows = tableau._stage_rows
-    weight_terms = tableau._weight_terms
-    limit = STATE_LIMIT
-    out = np.empty((n + 1, len(y)))
+    y = _initial_state(y0)
+    out = np.empty((grid.step_count + 1, len(y)))
     out[0] = y
-    for i in range(n):
-        t_next = (i + 1) * h
-        y = _step(rhs, nodes, stage_rows, weight_terms, i * h, y, h)
-        if adjust_state is not None:
-            y = adjust_state(t_next, y)
-        for v in y:
-            # NaN fails the chained comparison too, so this covers non-finite
-            if not -limit <= v <= limit:
-                raise StateBlowUpError(t_next, limit)
-        out[i + 1] = y
+    _kernel(tableau, len(y))(rhs, adjust_state, out, y, 0.0, grid.step, STATE_LIMIT)
     return grid.abscissae(), out

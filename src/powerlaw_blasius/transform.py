@@ -33,7 +33,7 @@ import numpy as np
 from . import model
 from .errors import NoPlateauError
 from .model import ModelParameter
-from .runge_kutta import COOPER_VERNER_8, GridSpec, integrate
+from .runge_kutta import COOPER_VERNER_8, MAX_STEP_COUNT, GridSpec, integrate
 
 __all__ = [
     "SolutionProfile",
@@ -162,9 +162,10 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     bit for bit; segments are counted from the wall, so a step that does
     not divide 5 still lands on the later candidates.
 
-    Raises ``ValueError`` when 5 spans fewer than ten steps or E is not a
-    multiple of the step, and :class:`NoPlateauError` once the doubling
-    cap (2**10 * 5) is exhausted.
+    Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
+    multiple of the step or a candidate spans more than
+    ``MAX_STEP_COUNT`` steps, and :class:`NoPlateauError` once the
+    doubling cap (2**10 * 5) is exhausted.
     """
     rhs = model.ivp_rhs(param)
     guard = model.curvature_guard(param)
@@ -172,7 +173,10 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     done = 0
     endpoint = _SEARCH_START
     for _ in range(_DOUBLING_CAP + 1):
-        n_more = round(endpoint / step) - done
+        ratio = endpoint / step
+        if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
+            raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
+        n_more = round(ratio) - done
         grid = GridSpec(step, n_more * step)
         _, seg = integrate(rhs, COOPER_VERNER_8, grid, segments[-1][-1], adjust_state=guard)
         segments.append(seg[1:])

@@ -155,6 +155,7 @@ class TestArgumentHandling:
         ["solve", "--p", "1", "--step", "1e-7"],
         ["solve", "--p", "1", "--step", "1e-7", "--eta-inf", "auto"],
         ["solve", "--p", "1", "--step", "1e-320"],
+        ["solve", "--p", "1", "--step", "1e-320", "--eta-inf", "auto"],
     ])
     def test_bad_argument_is_one_line_exit_2(self, capsys, argv):
         # rejected by argparse (SystemExit) or by the grid check (return code)

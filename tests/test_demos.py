@@ -10,7 +10,16 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = DEMOS.parent / "src"
 
 
-@pytest.mark.parametrize("name", ["integrator_convergence.py", "newtonian_benchmark.py", "profile_rescaling.py"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "integrator_convergence.py",
+        "newtonian_benchmark.py",
+        "profile_rescaling.py",
+        "reference_table_sweep.py",
+        "shooting_crosscheck.py",
+    ],
+)
 def test_demo_runs(name, tmp_path):
     # run a copy: profile_rescaling.py writes its CSVs beside itself
     script = tmp_path / name

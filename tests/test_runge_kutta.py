@@ -1,4 +1,10 @@
+import hashlib
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +19,69 @@ from powerlaw_blasius import (
     RhsBlowUpError,
     StateBlowUpError,
     integrate,
+    make_parameter,
+    model,
     single_step,
+    solve,
 )
+from powerlaw_blasius.runge_kutta import STATE_LIMIT
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def exp_rhs(t, y):
     return (y[0],)
+
+
+def reference_step(rhs, tableau, t, y, h):
+    """One step of the sparse tableau, term by term: the arithmetic the generated loop must match."""
+    idx = range(len(y))
+    k = []
+    for stage, (ci, row) in enumerate(zip(tableau.nodes, tableau._stage_rows)):
+        ys = list(y)
+        for j, a in row:
+            ha = h * a
+            for m in idx:
+                ys[m] += ha * k[j][m]
+        ts = t + ci * h
+        ki = rhs(ts, tuple(ys))
+        for v in ki:
+            if not math.isfinite(v):
+                raise RhsBlowUpError(ts, stage)
+        k.append(ki)
+    out = list(y)
+    for j, b in tableau._weight_terms:
+        hb = h * b
+        for m in idx:
+            out[m] += hb * k[j][m]
+    return tuple(out)
+
+
+def reference_integrate(rhs, tableau, grid, y0, adjust_state=None):
+    """The per-step loop around :func:`reference_step`, with integrate's state check."""
+    y = tuple(float(v) for v in y0)
+    h = grid.step
+    out = np.empty((grid.step_count + 1, len(y)))
+    out[0] = y
+    for i in range(grid.step_count):
+        t_next = (i + 1) * h
+        y = reference_step(rhs, tableau, i * h, y, h)
+        if adjust_state is not None:
+            y = adjust_state(t_next, y)
+        for v in y:
+            if not -STATE_LIMIT <= v <= STATE_LIMIT:
+                raise StateBlowUpError(t_next, STATE_LIMIT)
+        out[i + 1] = y
+    return grid.abscissae(), out
+
+
+def outcome(run):
+    """Bytes of the states ``run()`` returns, or the type, message and fields of what it raises."""
+    try:
+        states = run()
+    except (RhsBlowUpError, StateBlowUpError) as exc:
+        return type(exc), str(exc), vars(exc)
+    return np.asarray(states).tobytes()
 
 
 class TestButcherTableau:
@@ -163,3 +226,95 @@ class TestIntegrate:
         with pytest.raises(StateBlowUpError) as err:
             integrate(lambda t, y: (3.0 * y[0],), COOPER_VERNER_8, GridSpec(0.1, 20.0), (1.0,))
         assert err.value.t < 20.0
+
+
+class TestGeneratedLoop:
+    @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4], ids=["cv8", "rk4"])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.5])
+    def test_model_matches_reference_bit_for_bit(self, tableau, p):
+        param = make_parameter(p)
+        args = (model.ivp_rhs(param), tableau, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0), model.curvature_guard(param))
+        assert integrate(*args)[1].tobytes() == reference_integrate(*args)[1].tobytes()
+
+    @given(
+        tableau=st.sampled_from([COOPER_VERNER_8, CLASSIC_RK4]),
+        dim=st.sampled_from([1, 3]),
+        data=st.data(),
+        step=st.floats(min_value=1e-3, max_value=0.5),
+        n=st.integers(min_value=10, max_value=40),
+        t0=st.floats(min_value=-5.0, max_value=5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_linear_rhs_matches_reference_bit_for_bit(self, tableau, dim, data, step, n, t0):
+        coef = st.floats(min_value=-3.0, max_value=3.0)
+        matrix = data.draw(st.lists(st.lists(coef, min_size=dim + 1, max_size=dim + 1), min_size=dim, max_size=dim))
+        y0 = tuple(data.draw(st.lists(coef, min_size=dim, max_size=dim)))
+
+        def rhs(t, y):  # time enters through the last column
+            return tuple(row[-1] * t + sum(a * v for a, v in zip(row, y)) for row in matrix)
+
+        grid = GridSpec(step, n * step)
+        assert outcome(lambda: integrate(rhs, tableau, grid, y0)[1]) == outcome(
+            lambda: reference_integrate(rhs, tableau, grid, y0)[1]
+        )
+        assert outcome(lambda: single_step(rhs, tableau, t0, y0, step)) == outcome(
+            lambda: reference_step(rhs, tableau, t0, y0, step)
+        )
+
+    @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4], ids=["cv8", "rk4"])
+    @pytest.mark.parametrize(
+        "rhs,error",
+        [
+            (lambda t, y: (float("nan"), y[1], 0.0) if t > 0.55 else (y[1], y[2], 0.0), RhsBlowUpError),
+            (lambda t, y: (3.0 * y[0], y[2], y[0]), StateBlowUpError),
+        ],
+        ids=["nan-rhs", "state-blow-up"],
+    )
+    def test_errors_match_reference(self, tableau, rhs, error):
+        grid = GridSpec(0.1, 20.0)
+        got = outcome(lambda: integrate(rhs, tableau, grid, (1.0, 0.0, 1.0))[1])
+        assert got == outcome(lambda: reference_integrate(rhs, tableau, grid, (1.0, 0.0, 1.0))[1])
+        assert got[0] is error
+
+    def test_built_on_first_use_and_reused(self):
+        code = "import powerlaw_blasius as pb; print(pb.COOPER_VERNER_8._kernels, pb.CLASSIC_RK4._kernels)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.stdout.split() == ["{}", "{}"], done.stderr
+
+        tab = ButcherTableau(CLASSIC_RK4.nodes, CLASSIC_RK4.weights, CLASSIC_RK4.coupling, 4)
+        assert tab._kernels == {}
+        integrate(exp_rhs, tab, GridSpec(0.1, 1.0), (1.0,))
+        kernel = tab._kernels[1]
+        integrate(exp_rhs, tab, GridSpec(0.05, 1.0), (2.0,))
+        assert tab._kernels == {1: kernel} and tab._kernels[1] is kernel
+        # compiled loops stay behind when a tableau is pickled
+        assert pickle.loads(pickle.dumps(tab))._kernels == {}
+
+
+def _starred(p):
+    return solve(make_parameter(p), step=1e-3, eta_inf=10).starred.values
+
+
+def _rk4_states(p, guess):
+    param = make_parameter(p)
+    rhs, guard = model.ivp_rhs(param), model.curvature_guard(param)
+    return integrate(rhs, CLASSIC_RK4, GridSpec(1e-3, 10), (0.0, 0.0, guess), adjust_state=guard)[1]
+
+
+# sha256 of the state arrays as the per-step loop stored them before the
+# generated loop replaced it
+@pytest.mark.parametrize(
+    "states,digest",
+    [
+        ((_starred, 0.3), "4707629656441dc781de4071d8fc4f26f3233bcf9b1a143c850361ffab742722"),
+        ((_starred, 1.0), "74add58c0a15674bf0e90fa57ff7781c1d95a8fe50eabfd7a42f6cb5d808f165"),
+        ((_starred, 1.5), "a0c558841a44a1299bdfae814ab196f28519679e1c795db6d7260880614231c8"),
+        ((_rk4_states, 1.0, 0.33), "615a7fe387b6699f0eb25399d21a568cb3aed793284e6df295655bc28f31ed7e"),
+        ((_rk4_states, 1.5, 0.4), "d37dbc32d279ace7b5009589815804d7ccadd4520f8486fd608f1615fccbdbfd"),
+    ],
+    ids=["cv8-P0.3", "cv8-P1.0", "cv8-P1.5", "rk4-P1.0", "rk4-P1.5"],
+)
+def test_golden_bytes(states, digest):
+    fn, *args = states
+    assert hashlib.sha256(fn(*args).tobytes()).hexdigest() == digest
