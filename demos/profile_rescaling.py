@@ -13,9 +13,7 @@ importable, a two-panel figure of (f', f'') in each frame.
 
 from pathlib import Path
 
-import numpy as np
-
-from powerlaw_blasius import make_parameter, solve
+from powerlaw_blasius import cli, make_parameter, solve
 
 here = Path(__file__).resolve().parent
 result = solve(make_parameter(0.3), step=0.001, eta_inf=10.0)
@@ -25,14 +23,8 @@ print(f"starred domain : [0, {result.starred.abscissae[-1]:g}]")
 print(f"physical domain: [0, {result.physical.abscissae[-1]:.6f}]")
 print(f"wall shear f''(0) = {result.skin_friction:.9f}")
 
-for profile, name in ((result.starred, "starred"), (result.physical, "physical")):
-    path = here / f"p03_{name}.csv"
-    rows = np.column_stack([profile.abscissae, profile.values])
-    with open(path, "w", newline="\n") as fh:
-        fh.write("eta,f,df,d2f\n")
-        for eta, f, df, d2f in rows:
-            fh.write(f"{eta:.12g},{f:.12g},{df:.12g},{d2f:.12g}\n")
-    print(f"wrote {path}")
+# the CLI exports the same solve as p03_starred.csv and p03_physical.csv
+cli.main(["solve", "--p", "0.3", "--step", "0.001", "--eta-inf", "10", "--out", str(here / "p03")])
 
 try:
     import matplotlib

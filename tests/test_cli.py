@@ -1,15 +1,37 @@
 import hashlib
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powerlaw_blasius import SolutionProfile, cli
 from powerlaw_blasius.cli import main
+
+#: Values whose 12-digit form is easy to get wrong: signed zero, the
+#: smallest subnormal, huge magnitudes, integers, and both sides of the
+#: switches to exponent form at 1e-4 and 1e12 (999999999999.5 rounds up
+#: to 1e+12).
+_AWKWARD = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 3.0, -42.0, 1e11,
+    999999999999.0, 999999999999.5, 1e12, 1e-4, 9.99999999999995e-05, 0.000123456789012345,
+]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_write_profile_csv(path, profile):
+    """The row-wise f-string writer, kept as the byte reference for ``cli._write_profile_csv``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("eta,f,df,d2f\n")
+        for eta, (f, df, d2f) in zip(profile.abscissae, profile.values):
+            fh.write(f"{eta:.12g},{f:.12g},{df:.12g},{d2f:.12g}\n")
 
 
 class TestSolveCommand:
@@ -75,6 +97,64 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--p", "0.8", "--out", str(tmp_path / "missing" / "prof"))
         assert code == 2
         assert "error writing" in err
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [11, 1023, 1024, 1025, 2 * 1024 + 3])
+    @given(
+        spacing=st.sampled_from([5e-324, 1e-3, 1.0, 7.0]) | st.floats(min_value=5e-324, max_value=1e300),
+        pool=st.lists(
+            st.sampled_from(_AWKWARD)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(-10**15, 10**15).map(float),
+            min_size=1,
+            max_size=16,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_bytes_match_the_row_wise_reference(self, tmp_path_factory, n, spacing, pool, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array(pool), size=(n, 3))
+        # half the entries spread over every decimal exponent
+        spread = rng.random((n, 3)) < 0.5
+        count = int(spread.sum())
+        values[spread] = rng.standard_normal(count) * 10.0 ** rng.integers(-320, 300, count)
+        # a profile's curvature is non-negative; -0.0 passes and is kept
+        values[:, 2] = np.where(values[:, 2] < 0.0, -values[:, 2], values[:, 2])
+        profile = SolutionProfile("starred", np.arange(n) * spacing, values)
+        out = tmp_path_factory.mktemp("csv")
+        cli._write_profile_csv(out / "block.csv", profile)
+        reference_write_profile_csv(out / "rows.csv", profile)
+        assert (out / "block.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_the_profile(self, tmp_path):
+        # an E = 80 export has 80 001 rows; formatting them in one string
+        # costs tens of MB, which the benchmark's peak_rss_mb would show
+        eta = np.arange(80_001) * 1e-3
+        profile = SolutionProfile("physical", eta, np.column_stack([eta, np.tanh(eta), np.exp(-eta)]))
+        tracemalloc.start()
+        try:
+            cli._write_profile_csv(tmp_path / "prof.csv", profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "prof.csv").read_text().splitlines()) == 80_002
+        assert peak < 2 * 2**20
+
+    def test_export_calls_the_module_attribute(self, tmp_path, capsys, monkeypatch):
+        # perfbench times the CSV layer by wrapping cli._write_profile_csv
+        written = []
+        original = cli._write_profile_csv
+
+        def spy(path, profile):
+            written.append(path)
+            original(path, profile)
+
+        monkeypatch.setattr(cli, "_write_profile_csv", spy)
+        prefix = tmp_path / "prof"
+        assert run(capsys, "solve", "--p", "1", "--step", "0.01", "--out", str(prefix))[0] == 0
+        assert written == [tmp_path / "prof_starred.csv", tmp_path / "prof_physical.csv"]
 
 
 class TestTableCommand:
@@ -156,6 +236,8 @@ class TestArgumentHandling:
         ["solve", "--p", "1", "--step", "1e-7", "--eta-inf", "auto"],
         ["solve", "--p", "1", "--step", "1e-320"],
         ["solve", "--p", "1", "--step", "1e-320", "--eta-inf", "auto"],
+        ["table", "--p-list", ""],
+        ["validate", "--p-list", " , "],
     ])
     def test_bad_argument_is_one_line_exit_2(self, capsys, argv):
         # rejected by argparse (SystemExit) or by the grid check (return code)
