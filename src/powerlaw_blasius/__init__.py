@@ -3,18 +3,22 @@
 One initial-value integration in rescaled variables, one algebraic
 rescaling, no iteration on the missing wall curvature -- plus an
 independent shooting oracle to prove it.
+
+Exported: the model, the fixed-step integrator with its two tableaus,
+the transform pipeline (:func:`solve` and its stages), the shooting
+oracle, and the errors, all derived from :class:`BoundaryLayerError`.
+The command line is :mod:`powerlaw_blasius.cli`.
 """
 
 from .errors import (
+    BlowUpError,
     BoundaryLayerError,
     BracketError,
     ConvergenceError,
     CurvatureError,
     DomainError,
     NoPlateauError,
-    RhsBlowUpError,
     ShotDivergedError,
-    StateBlowUpError,
 )
 from .model import (
     ModelParameter,
@@ -22,7 +26,6 @@ from .model import (
     make_parameter,
     pohlhausen_skin_friction,
     reference_table,
-    rhs,
 )
 from .runge_kutta import (
     CLASSIC_RK4,
@@ -30,7 +33,6 @@ from .runge_kutta import (
     ButcherTableau,
     GridSpec,
     integrate,
-    single_step,
 )
 from .shooting import ShootingConfig, matched_grid, shoot, solve_by_shooting
 from .transform import (
@@ -47,6 +49,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlowUpError",
     "BoundaryLayerError",
     "BracketError",
     "ButcherTableau",
@@ -59,11 +62,9 @@ __all__ = [
     "ModelParameter",
     "NoPlateauError",
     "ReferenceRow",
-    "RhsBlowUpError",
     "ShootingConfig",
     "ShotDivergedError",
     "SolutionProfile",
-    "StateBlowUpError",
     "TransformResult",
     "default_step",
     "find_truncated_boundary",
@@ -75,9 +76,7 @@ __all__ = [
     "recover_lambda",
     "reference_table",
     "rescale_profile",
-    "rhs",
     "shoot",
-    "single_step",
     "solve",
     "solve_by_shooting",
 ]

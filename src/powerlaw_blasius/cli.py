@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BoundaryLayerError
-from .model import make_parameter, pohlhausen_skin_friction, reference_table
+from .model import ReferenceRow, make_parameter, pohlhausen_skin_friction, reference_table
 from .shooting import ShootingConfig, matched_grid, solve_by_shooting
 from .transform import solve
 
@@ -45,10 +45,6 @@ _ORACLE_BRACKET = (0.05, 2.5)
 #: raise peak memory.
 _CSV_CHUNK = 1024
 _CSV_ROW = b"%.12g,%.12g,%.12g,%.12g\n"
-
-
-def _row_tolerance(p: float) -> float:
-    return _SMALL_P_TOL if p <= 0.05 else _ROW_TOL
 
 
 def _fmt(value: float | None, digits: int = 9) -> str:
@@ -119,90 +115,82 @@ def cmd_solve(args) -> int:
     return _EXIT_OK
 
 
-def cmd_table(args) -> int:
-    reference = {row.p: row for row in reference_table()}
-    p_values = args.p_list if args.p_list is not None else [
-        row.p for row in reference_table() if row.nonitm is not None
-    ]
-    header = (
-        f"{'P':>5} | {'acrivos':>11} | {'pohl(ref)':>11} | {'pohl(formula)':>13} | "
-        f"{'nonitm(ref)':>11} | {'nonitm(ours)':>12} | {'|diff|':>9} | status"
-    )
+def _sweep(columns, p_values, row) -> int:
+    """Print a table with one row per P and return the worst exit status.
+
+    ``columns`` are the (title, width) pairs after P; width 0 marks an
+    unpadded status column.  ``row(p)`` returns one row's cells and exit
+    status.  A row that raises gets a dash in every padded column, the
+    error after them and the domain status.
+    """
+    widths = [width for _, width in columns] + [0]
+    header = " | ".join([f"{'P':>5}"] + [f"{title:>{width}}" for title, width in columns])
     print(header)
     print("-" * len(header))
     status = _EXIT_OK
     for p in p_values:
-        ref = reference.get(p)
         try:
-            result = solve(make_parameter(p), step=args.step, eta_inf=args.eta_inf)
-            formula = pohlhausen_skin_friction(p)
+            cells, row_status = row(p)
         except (BoundaryLayerError, ValueError) as exc:
-            print(f"{p:>5g} | {'-':>11} | {'-':>11} | {'-':>13} | {'-':>11} | {'-':>12} | {'-':>9} | failed: {exc}")
-            status = max(status, _EXIT_DOMAIN)
-            continue
-        ours = result.skin_friction
-        ref_nonitm = ref.nonitm if ref is not None else None
-        if ref_nonitm is None:
-            diff, verdict = None, "no reference"
-        else:
-            diff = abs(ours - ref_nonitm)
-            if diff <= _row_tolerance(p):
-                verdict = "ok"
-            else:
-                verdict = f"off by {diff:.2e} (tol {_row_tolerance(p):.0e})"
-                status = max(status, _EXIT_TOLERANCE)
-        print(
-            f"{p:>5g} | {_fmt(ref.acrivos if ref else None):>11} | "
-            f"{_fmt(ref.pohlhausen if ref else None):>11} | {_fmt(formula):>13} | "
-            f"{_fmt(ref_nonitm):>11} | {ours:>12.9g} | {_fmt(diff, 3):>9} | {verdict}"
-        )
+            cells = ["-" for width in widths if width] + [f"failed: {exc}"]
+            row_status = _EXIT_DOMAIN
+        print(" | ".join([f"{p:>5g}"] + [f"{cell:>{width}}" for cell, width in zip(cells, widths)]))
+        status = max(status, row_status)
     return status
+
+
+def _reference(p: float) -> ReferenceRow:
+    """The published row for P, or a row of blanks."""
+    return next((ref for ref in reference_table() if ref.p == p), ReferenceRow(p, None, None, None))
+
+
+def cmd_table(args) -> int:
+    def row(p):
+        ours = solve(make_parameter(p), step=args.step, eta_inf=args.eta_inf).skin_friction
+        formula = pohlhausen_skin_friction(p)
+        ref = _reference(p)
+        tol = _SMALL_P_TOL if p <= 0.05 else _ROW_TOL
+        diff = None if ref.nonitm is None else abs(ours - ref.nonitm)
+        if diff is None:
+            verdict, status = "no reference", _EXIT_OK
+        elif diff <= tol:
+            verdict, status = "ok", _EXIT_OK
+        else:
+            verdict, status = f"off by {diff:.2e} (tol {tol:.0e})", _EXIT_TOLERANCE
+        cells = [_fmt(ref.acrivos), _fmt(ref.pohlhausen), _fmt(formula), _fmt(ref.nonitm), _fmt(ours), _fmt(diff, 3)]
+        return cells + [verdict], status
+
+    columns = [("acrivos", 11), ("pohl(ref)", 11), ("pohl(formula)", 13), ("nonitm(ref)", 11),
+               ("nonitm(ours)", 12), ("|diff|", 9), ("status", 0)]
+    return _sweep(columns, args.p_list or [ref.p for ref in reference_table() if ref.nonitm is not None], row)
 
 
 def cmd_validate(args) -> int:
-    p_values = args.p_list if args.p_list is not None else [0.1, 0.2, 0.3, 0.4, 0.8, 1.0, 1.5]
-    print(f"{'P':>5} | {'transform':>14} | {'shooting':>14} | {'|diff|':>9} | status")
-    status = _EXIT_OK
-    for p in p_values:
-        try:
-            result = solve(make_parameter(p), step=args.step)
-            # the oracle must shoot on the same truncated physical domain
-            # (for P < 1 the tail decays algebraically, so the domain, not
-            # the step, controls agreement); step ~1e-3 is plenty for it
-            grid = matched_grid(result, target_step=1e-3)
-            config = ShootingConfig(*_ORACLE_BRACKET, grid=grid, residual_tol=1e-10)
-            shot = solve_by_shooting(result.param, config)
-        except (BoundaryLayerError, ValueError) as exc:
-            print(f"{p:>5g} | {'-':>14} | {'-':>14} | {'-':>9} | failed: {exc}")
-            status = max(status, _EXIT_DOMAIN)
-            continue
+    def row(p):
+        result = solve(make_parameter(p), step=args.step)
+        # the oracle must shoot on the same truncated physical domain
+        # (for P < 1 the tail decays algebraically, so the domain, not
+        # the step, controls agreement); step ~1e-3 is plenty for it
+        grid = matched_grid(result, target_step=1e-3)
+        shot = solve_by_shooting(result.param, ShootingConfig(*_ORACLE_BRACKET, grid=grid, residual_tol=1e-10))
         diff = abs(result.skin_friction - shot)
         ok = diff <= args.tol
-        if not ok:
-            status = max(status, _EXIT_TOLERANCE)
-        print(
-            f"{p:>5g} | {result.skin_friction:>14.9g} | {shot:>14.9g} | {diff:>9.2e} | "
-            f"{'ok' if ok else f'exceeds {args.tol:g}'}"
-        )
-    return status
+        cells = [_fmt(result.skin_friction), _fmt(shot), f"{diff:.2e}", "ok" if ok else f"exceeds {args.tol:g}"]
+        return cells, _EXIT_OK if ok else _EXIT_TOLERANCE
+
+    columns = [("transform", 14), ("shooting", 14), ("|diff|", 9), ("status", 0)]
+    return _sweep(columns, args.p_list or [0.1, 0.2, 0.3, 0.4, 0.8, 1.0, 1.5], row)
 
 
 def cmd_pohlhausen(args) -> int:
-    reference = {row.p: row for row in reference_table()}
-    p_values = args.p_list if args.p_list is not None else [row.p for row in reference_table()]
-    print(f"{'P':>5} | {'formula':>11} | {'published':>11} | {'|diff|':>9}")
-    status = _EXIT_OK
-    for p in p_values:
-        try:
-            formula = pohlhausen_skin_friction(p)
-        except BoundaryLayerError as exc:
-            print(f"{p:>5g} | {'-':>11} | {'-':>11} | failed: {exc}")
-            status = max(status, _EXIT_DOMAIN)
-            continue
-        ref = reference.get(p)
-        published = ref.pohlhausen if ref is not None else None
+    def row(p):
+        formula = pohlhausen_skin_friction(p)
+        published = _reference(p).pohlhausen
         diff = None if published is None else abs(formula - published)
-        print(f"{p:>5g} | {formula:>11.9g} | {_fmt(published):>11} | {_fmt(diff, 3):>9}")
+        return [_fmt(formula), _fmt(published), _fmt(diff, 3)], _EXIT_OK
+
+    columns = [("formula", 11), ("published", 11), ("|diff|", 9)]
+    status = _sweep(columns, args.p_list or [ref.p for ref in reference_table()], row)
     if status == _EXIT_OK:
         print(
             "note: the closed-form estimate matches its published column only "

@@ -18,22 +18,16 @@ class CurvatureError(BoundaryLayerError, ValueError):
     """
 
 
-class RhsBlowUpError(BoundaryLayerError, ArithmeticError):
-    """A stage evaluation of the ODE right-hand side was non-finite."""
+class BlowUpError(BoundaryLayerError, ArithmeticError):
+    """An integration diverged at ``t``.
 
-    def __init__(self, t: float, stage: int):
+    Either a stage evaluation of the ODE right-hand side was non-finite
+    or a state component left the trust region; the message says which.
+    """
+
+    def __init__(self, t: float, message: str):
         self.t = t
-        self.stage = stage
-        super().__init__(f"rhs blow-up at t={t:.6g} (stage {stage})")
-
-
-class StateBlowUpError(BoundaryLayerError, ArithmeticError):
-    """An integration state component left the trust region (divergence)."""
-
-    def __init__(self, t: float, limit: float):
-        self.t = t
-        self.limit = limit
-        super().__init__(f"state blow-up at t={t:.6g}: component exceeds {limit:.1e}")
+        super().__init__(message)
 
 
 class NoPlateauError(BoundaryLayerError, RuntimeError):

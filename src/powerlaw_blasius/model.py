@@ -31,7 +31,6 @@ __all__ = [
     "ModelParameter",
     "ReferenceRow",
     "make_parameter",
-    "rhs",
     "pohlhausen_skin_friction",
     "reference_table",
     "CURVATURE_NOISE",
@@ -124,8 +123,18 @@ def _clamp_window(param: ModelParameter) -> float:
     return -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
 
 
-def _rhs_closure(param: ModelParameter, window: float):
-    """The model right-hand side f(t, y), clamping curvature in [window, 0) to zero."""
+def ivp_rhs(param: ModelParameter):
+    """Right-hand side f(t, y) of the model as a first-order system.
+
+    For y = (f, f', f'') returns (f', f'', -f (f'')^(2-P) / (P (P+1))).
+    The fractional power is real only for non-negative curvature, so
+    f'' in the clamp window [-1e-12, 0) counts as zero and anything more
+    negative raises :class:`CurvatureError`.  For P > 1 the window is
+    ``TOUCHDOWN_WINDOW``, because stage states inside a Runge-Kutta step
+    may transiently undershoot zero curvature while crossing the
+    touchdown.
+    """
+    window = _clamp_window(param)
     coef = param.p * (param.p + 1.0)
     ex = 2.0 - param.p
 
@@ -138,28 +147,6 @@ def _rhs_closure(param: ModelParameter, window: float):
         return (df, d2f, -fval * d2f**ex / coef)
 
     return f
-
-
-def rhs(param: ModelParameter, y) -> tuple[float, float, float]:
-    """Right-hand side of the model as a first-order system.
-
-    For y = (f, f', f'') returns (f', f'', -f (f'')^(2-P) / (P (P+1))).
-    Curvature in [-1e-12, 0) is clamped to zero; genuinely negative
-    curvature raises :class:`CurvatureError` because the fractional
-    power is not real there.
-    """
-    return _rhs_closure(param, -CURVATURE_NOISE)(0.0, tuple(float(v) for v in y))
-
-
-def ivp_rhs(param: ModelParameter):
-    """Time-independent closure of :func:`rhs` for the integrators.
-
-    Stage states inside a Runge-Kutta step may transiently undershoot
-    zero curvature while crossing the P > 1 touchdown, so this closure
-    clamps within ``TOUCHDOWN_WINDOW`` instead of the strict rounding
-    window the public :func:`rhs` enforces.
-    """
-    return _rhs_closure(param, _clamp_window(param))
 
 
 def curvature_guard(param: ModelParameter):

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RhsBlowUpError, StateBlowUpError
+from .errors import BlowUpError
 
 __all__ = [
     "ButcherTableau",
@@ -32,7 +32,6 @@ __all__ = [
     "COOPER_VERNER_8",
     "CLASSIC_RK4",
     "STATE_LIMIT",
-    "single_step",
     "integrate",
 ]
 
@@ -103,14 +102,6 @@ class ButcherTableau:
     @property
     def stage_count(self) -> int:
         return len(self.nodes)
-
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense (s, s) strictly lower triangular coupling matrix."""
-        s = self.stage_count
-        a = np.zeros((s, s))
-        for i, row in enumerate(self.coupling):
-            a[i, : len(row)] = row
-        return a
 
 
 @dataclass(frozen=True)
@@ -235,19 +226,19 @@ CLASSIC_RK4 = ButcherTableau(
 #: Skeleton of the stepping loop; _kernel fills in one line per hoisted
 #: product, four per stage and one per state component.
 _KERNEL_SOURCE = """
-def kernel(rhs, adjust_state, out, y, t0, h, limit):
+def kernel(rhs, adjust_state, out, y, h, limit):
 {products}
     {state} = y
-    t = t0
+    t = 0.0
     for i in range(1, len(out)):
-        t_next = t0 + i * h
+        t_next = i * h
 {stages}
 {update}
         if adjust_state is not None:
             {state} = adjust_state(t_next, {state})
         # NaN fails the chained comparison too, so this covers non-finite
         if not ({bounded}):
-            raise StateBlowUpError(t_next, limit)
+            raise BlowUpError(t_next, f"state blow-up at t={{t_next:.6g}}: component exceeds {{limit:.1e}}")
         out[i] = {state}
         t = t_next
 """
@@ -256,8 +247,8 @@ def kernel(rhs, adjust_state, out, y, t0, h, limit):
 def _kernel(tableau: ButcherTableau, dim: int):
     """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
 
-    ``kernel(rhs, adjust_state, out, y, t0, h, limit)`` steps from state
-    ``y`` at time ``t0`` and stores step i's state in ``out[i]``.  Stage
+    ``kernel(rhs, adjust_state, out, y, h, limit)`` steps from state
+    ``y`` at time 0 and stores step i's state in ``out[i]``.  Stage
     states sum their terms in ``_stage_rows`` order and the update in
     ``_weight_terms`` order, so the bits are those of the term-by-term
     sparse tableau; only the products h*a, c*h and h*b are hoisted.
@@ -277,7 +268,7 @@ def _kernel(tableau: ButcherTableau, dim: int):
             f"        ts = t + hc{i}",
             f"        ({each(f'k{i}_{{m}}')},) = rhs(ts, ({each('y{m}' + terms)},))",
             f"        if not ({each(f'isfinite(k{i}_{{m}})', ' and ')}):",
-            f"            raise RhsBlowUpError(ts, {i})",
+            f"            raise BlowUpError(ts, f'rhs blow-up at t={{ts:.6g}} (stage {i})')",
         ]
     products += [f"    hb{j} = h * {b!r}" for j, b in tableau._weight_terms]
     terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in tableau._weight_terms)
@@ -288,36 +279,10 @@ def _kernel(tableau: ButcherTableau, dim: int):
         update=each(f"        y{{m}} = y{{m}}{terms}", "\n"),
         bounded=each("-limit <= y{m} <= limit", " and "),
     )
-    namespace = {"isfinite": math.isfinite, "RhsBlowUpError": RhsBlowUpError, "StateBlowUpError": StateBlowUpError}
+    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError}
     exec(compile(source, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
     tableau._kernels[dim] = namespace["kernel"]
     return namespace["kernel"]
-
-
-def _initial_state(y0) -> tuple:
-    """y0 as a tuple of floats; ValueError unless every component is finite."""
-    y = tuple(float(v) for v in y0)
-    for v in y:
-        if not math.isfinite(v):
-            raise ValueError("initial state must be finite")
-    return y
-
-
-def single_step(rhs: RhsFunction, tableau: ButcherTableau, t: float, y, h: float) -> np.ndarray:
-    """Advance the state y by one step of size h > 0.
-
-    ``rhs(t, y)`` receives the state as a tuple of floats and must return
-    one derivative per component.  Deterministic: identical inputs give
-    bit-identical output.  Runs the loop :func:`integrate` runs, so it
-    raises :class:`RhsBlowUpError` if any stage evaluates non-finite and
-    :class:`StateBlowUpError` if a component ends beyond ``STATE_LIMIT``.
-    """
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
-    y0 = _initial_state(y)
-    out = np.empty((2, len(y0)))
-    _kernel(tableau, len(y0))(rhs, None, out, y0, float(t), h, STATE_LIMIT)
-    return out[1]
 
 
 def integrate(
@@ -329,6 +294,8 @@ def integrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = rhs(t, y) over the grid from y0.
 
+    ``rhs`` receives the state as a tuple of floats and returns one
+    derivative per component; every component of ``y0`` must be finite.
     Returns ``(t, y)`` with ``t`` the step_count + 1 node locations
     (computed as i*step, not by accumulation, so there is no drift) and
     ``y`` the (step_count + 1, dim) state samples; ``y[0]`` is ``y0``
@@ -336,11 +303,13 @@ def integrate(
     the state actually stored and advanced -- the model layer uses it to
     project rounding-scale curvature undershoot back onto f'' >= 0.
 
-    Raises :class:`RhsBlowUpError` on a non-finite stage evaluation and
-    :class:`StateBlowUpError` when any component exceeds ``STATE_LIMIT``.
+    Raises :class:`BlowUpError` on a non-finite stage evaluation or when
+    any component exceeds ``STATE_LIMIT``.
     """
-    y = _initial_state(y0)
+    y = tuple(float(v) for v in y0)
+    if not all(map(math.isfinite, y)):
+        raise ValueError("initial state must be finite")
     out = np.empty((grid.step_count + 1, len(y)))
     out[0] = y
-    _kernel(tableau, len(y))(rhs, adjust_state, out, y, 0.0, grid.step, STATE_LIMIT)
+    _kernel(tableau, len(y))(rhs, adjust_state, out, y, grid.step, STATE_LIMIT)
     return grid.abscissae(), out

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model
-from .errors import BracketError, ConvergenceError, RhsBlowUpError, ShotDivergedError, StateBlowUpError
+from .errors import BlowUpError, BracketError, ConvergenceError, ShotDivergedError
 from .model import ModelParameter
 from .runge_kutta import CLASSIC_RK4, COOPER_VERNER_8, ButcherTableau, GridSpec, integrate
 from .transform import TransformResult
@@ -27,6 +27,9 @@ __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
 #: Bracket width below which bisection hands over to secant refinement.
 _SECANT_HANDOVER = 1e-3
+
+#: Bisection and secant iterations allowed in one solve, counted together.
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -37,15 +40,12 @@ class ShootingConfig:
     bracket_high: float
     grid: GridSpec
     residual_tol: float = 1e-10
-    max_iterations: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.bracket_low < self.bracket_high:
             raise ValueError("need 0 < bracket_low < bracket_high")
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 def shoot(
@@ -71,7 +71,7 @@ def shoot(
             (0.0, 0.0, float(guess)),
             adjust_state=model.curvature_guard(param),
         )
-    except (RhsBlowUpError, StateBlowUpError) as exc:
+    except BlowUpError as exc:
         raise ShotDivergedError(float(guess), exc) from exc
     return float(states[-1, 1]) - 1.0
 
@@ -96,7 +96,7 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     iterations = 0
 
     while hi - lo > _SECANT_HANDOVER:
-        if iterations >= config.max_iterations:
+        if iterations >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {iterations} iterations (bisection)")
         mid = 0.5 * (lo + hi)
         r_mid = shoot(param, mid, grid, tableau=CLASSIC_RK4)
@@ -109,7 +109,7 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     x_prev, x_cur = lo, hi
     r_prev = shoot(param, x_prev, grid)
     r_cur = shoot(param, x_cur, grid)
-    while iterations < config.max_iterations:
+    while iterations < _MAX_ITERATIONS:
         if abs(r_cur) < config.residual_tol:
             return x_cur
         if abs(r_prev) < config.residual_tol:

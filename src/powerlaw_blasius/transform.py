@@ -67,8 +67,8 @@ class SolutionProfile:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "abscissae", eta)
         object.__setattr__(self, "values", vals)
-        if eta.ndim != 1 or vals.shape != (eta.size, 3):
-            raise ValueError("profile needs n abscissae and (n, 3) values")
+        if eta.ndim != 1 or eta.size < 2 or vals.shape != (eta.size, 3):
+            raise ValueError("profile needs n >= 2 abscissae and (n, 3) values")
         if eta[0] != 0.0:
             raise ValueError("profile must start at the wall (eta = 0)")
         spacing = np.diff(eta)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from powerlaw_blasius import SolutionProfile, cli
@@ -250,3 +250,61 @@ class TestArgumentHandling:
         assert "Traceback" not in captured.err
         lines = (captured.out + captured.err).splitlines()
         assert len([line for line in lines if "error:" in line or "failed:" in line]) == 1
+
+
+_REALS = ["0", "-1", "nan", "inf", "abc", "1e-320", "0.5", "2.5", "1", "1.5", "", ","]
+#: Steps no finer than 0.01, so a solve takes a few thousand steps at most, and invalid ones.
+_STEPS = ["0.01", "0.02", "0.05", "0.1", "0.25", "0.5", "0.03", "1e-320", "0", "-0.01", "nan", "abc"]
+_BOUNDARIES = ["5", "10", "20", "7.5", "auto", "0", "-5", "inf", "abc", ""]
+
+
+#: The options each subcommand accepts.
+_OPTIONS = {
+    "solve": ["--p", "--step", "--eta-inf", "--out"],
+    "table": ["--p-list", "--step", "--eta-inf"],
+    "validate": ["--p-list", "--step", "--tol"],
+    "pohlhausen": ["--p-list"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argument vector from a fixed pool of tokens; each run takes well under a second.
+
+    Most options drawn belong to the subcommand; the rest are any
+    option, ``--bogus`` included.  solve, table and validate always get
+    a step from ``_STEPS``, because the default step is ten times finer,
+    and table and validate a P list, because their default lists take
+    seconds.  A validate row that reaches the shooting oracle takes
+    about a second, so validate's P lists hold no valid index other than
+    1e-320, which blows up at once.
+    """
+    command = draw(st.sampled_from([*_OPTIONS, "frobnicate"]))
+    reals = [r for r in _REALS if r not in ("1", "1.5")] if command == "validate" else _REALS
+    values = {
+        "--p": st.sampled_from(_REALS),
+        "--p-list": st.lists(st.sampled_from(reals), min_size=1, max_size=3).map(",".join),
+        "--step": st.sampled_from(_STEPS),
+        "--eta-inf": st.sampled_from(_BOUNDARIES),
+        "--tol": st.sampled_from(_REALS),
+        "--out": st.just("x"),
+        "--bogus": st.sampled_from(_REALS),
+    }
+    own = _OPTIONS.get(command, ["--bogus"])
+    forced = [flag for flag in ("--p", "--step", "--p-list") if flag in own and command != "pohlhausen"]
+    flags = forced + draw(st.lists(st.sampled_from(own * 3 + sorted(values)), max_size=3))
+    return [command] + [token for flag in flags for token in (flag, draw(values[flag]))]
+
+
+@given(argv=_argv())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_arguments_exit_cleanly(argv, capsys, tmp_path, monkeypatch):
+    # --out x writes its CSV files into the working directory
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_blasius import (
     GridSpec,
@@ -71,6 +73,13 @@ class TestSolutionProfileValidation:
     def test_rejects_offset_origin(self):
         with pytest.raises(ValueError, match="wall"):
             SolutionProfile("starred", [1.0, 2.0], [[0.0, 0.0, 1.0]] * 2)
+
+    @pytest.mark.parametrize(
+        "eta, values", [([], np.empty((0, 3))), ([0.0], [[0.0, 0.0, 1.0]])], ids=["empty", "one-node"]
+    )
+    def test_rejects_fewer_than_two_nodes(self, eta, values):
+        with pytest.raises(ValueError, match="n >= 2"):
+            SolutionProfile("starred", eta, values)
 
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError, match="frame"):
@@ -243,6 +252,23 @@ class TestSolve:
         b = solve(make_parameter(0.8), step=0.01)
         assert a.skin_friction == b.skin_friction
         assert np.array_equal(a.physical.values, b.physical.values)
+
+    # a step of 0.01 overshoots the P > 1 touchdown by more than
+    # TOUCHDOWN_WINDOW in narrow bands of P from about 1.757 up, and
+    # CurvatureError ends the solve there; below 2e-7 it blows up
+    @given(p=st.floats(min_value=1e-4, max_value=1.5).filter(lambda p: p != 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_transform_properties(self, p):
+        # f''(0) s^(3/(P+1)) = 1 loses digits near P = 0.5, where the
+        # exponents 1/(1-delta) and 2 delta - 1 blow up, and two solves
+        # agree bit for bit
+        param = make_parameter(p)
+        a, b = (solve(param, step=0.01) for _ in range(2))
+        product = a.skin_friction * a.starred_slope_at_infinity ** (3.0 / (p + 1.0))
+        assert abs(product - 1.0) <= 1e-12 * max(1.0, abs(2.0 * param.delta - 1.0))
+        assert a.skin_friction == b.skin_friction
+        assert a.starred.values.tobytes() == b.starred.values.tobytes()
+        assert a.physical.values.tobytes() == b.physical.values.tobytes()
 
     def test_wrong_lambda_exponent_not_reproduced(self, solve_cached):
         # the sign of the recovery exponent matters: 1/(delta-1) would give
