@@ -1,10 +1,11 @@
 """Validating the transformation with an old-fashioned shooting solver.
 
-Shooting brackets the unknown wall curvature and bisects/secants until
-the far-field slope hits one -- dozens of integrations against the
-transformation's single one.  Because the two solvers share nothing but
-the Runge-Kutta stepper, agreement is strong evidence the scaling
-algebra is right.
+Shooting brackets the unknown wall curvature and iterates on it until
+the far-field slope hits one -- three to eight integrations against the
+transformation's single one, most of them on a coarse grid before one
+or two certify the root on the fine one.  Because the two solvers share
+nothing but the Runge-Kutta stepper, agreement is strong evidence the
+scaling algebra is right.
 
 One subtlety: for P < 1 the curvature decays only algebraically, so the
 truncated problem on [0, 10] and the truncated problem on [0, 17] have

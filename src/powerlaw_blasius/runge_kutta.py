@@ -11,9 +11,8 @@ Two schemes are embedded as literal tableau constants:
   Cooper and Verner (SIAM J. Numer. Anal. 9, 1972), built on the
   5-point Lobatto quadrature with sqrt(21) nodes.  Its order is pinned
   empirically by the convergence tests.
-* ``CLASSIC_RK4`` -- the classical 4-stage method of order 4, used for
-  convergence cross-checks and as the cheap inner integrator of the
-  shooting oracle's bracketing phase.
+* ``CLASSIC_RK4`` -- the classical 4-stage method of order 4, kept for
+  convergence cross-checks; no solver in the package steps with it.
 """
 
 from __future__ import annotations

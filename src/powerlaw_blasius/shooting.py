@@ -6,6 +6,11 @@ non-iterative transformation avoids.  The two solvers share nothing but
 the Runge-Kutta integrator and the ODE itself, so agreement between
 them validates the scaling-group logic.
 
+The root finder works in log-log coordinates, log f''(0) against
+log f'(eta_inf), where the residual is close to a straight line.  For
+P <= 1 it finds the root on a coarse grid with the caller's endpoint
+and certifies it with one to three shots on the caller's grid.
+
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
 so comparing the two solvers to 1e-6 requires shooting on the same
@@ -15,20 +20,23 @@ builds that grid from a transform result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import model
 from .errors import BlowUpError, BracketError, ConvergenceError, ShotDivergedError
 from .model import ModelParameter
-from .runge_kutta import CLASSIC_RK4, COOPER_VERNER_8, ButcherTableau, GridSpec, integrate
+from .runge_kutta import COOPER_VERNER_8, GridSpec, integrate
 from .transform import TransformResult
 
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
-#: Bracket width below which bisection hands over to secant refinement.
-_SECANT_HANDOVER = 1e-3
+#: Step of the coarse grid the root is found on for P <= 1.  A shot on it
+#: costs about 1/20 of one on a 1e-3 grid; the caller's grid then only
+#: certifies the root.
+_COARSE_STEP = 0.02
 
-#: Bisection and secant iterations allowed in one solve, counted together.
+#: Shots allowed in one solve, counted over both grids.
 _MAX_ITERATIONS = 100
 
 
@@ -42,23 +50,18 @@ class ShootingConfig:
     residual_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.bracket_low < self.bracket_high:
-            raise ValueError("need 0 < bracket_low < bracket_high")
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.bracket_low < self.bracket_high < math.inf:
+            raise ValueError("need 0 < bracket_low < bracket_high < inf")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
 
 
-def shoot(
-    param: ModelParameter,
-    guess: float,
-    grid: GridSpec,
-    tableau: ButcherTableau = COOPER_VERNER_8,
-) -> float:
+def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     """Boundary residual f'(endpoint) - 1 for the curvature guess.
 
-    Integrates the physical initial-value problem from (0, 0, guess).
-    The residual is strictly increasing in the guess, which is what
-    makes bracketing sound.  Blow-ups surface as
+    Integrates the physical initial-value problem from (0, 0, guess)
+    with the order-8 scheme.  The residual is strictly increasing in the
+    guess, which is what makes bracketing sound.  Blow-ups surface as
     :class:`ShotDivergedError` carrying the guess.
     """
     if not guess > 0.0:
@@ -66,7 +69,7 @@ def shoot(
     try:
         _, states = integrate(
             model.ivp_rhs(param),
-            tableau,
+            COOPER_VERNER_8,
             grid,
             (0.0, 0.0, float(guess)),
             adjust_state=model.curvature_guard(param),
@@ -77,58 +80,85 @@ def shoot(
 
 
 def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
-    """Wall curvature f''(0) with |f'(endpoint) - 1| < residual_tol.
+    """Wall curvature f''(0) with |f'(endpoint) - 1| < residual_tol on ``config.grid``.
 
-    Bisection (on the cheap order-4 scheme) shrinks the bracket to
-    1e-3, then secant steps on the order-8 residual finish the root;
-    secant iterates that leave the bracket fall back to its midpoint.
-    Deterministic: repeated runs are bit-identical.
+    Bracketed Illinois (regula falsi that halves a stale end's value)
+    runs on x = log f''(0), y = log f'(endpoint).  For P <= 1 it runs on
+    a grid of step ~``_COARSE_STEP`` with the caller's endpoint; secant
+    steps on the caller's grid, seeded with the coarse root and the last
+    coarse slope, then certify the root, falling back to the midpoint of
+    the last coarse bracket if they leave it.  For P > 1, whose coarse
+    shots overshoot the touchdown clamp window, and for a caller grid no
+    finer than the coarse one, Illinois runs on the caller's grid alone.
+    Every shot counts against ``_MAX_ITERATIONS``.  Deterministic:
+    repeated runs are bit-identical.
     """
+    grid, tol = config.grid, config.residual_tol
+    n = max(10, round(grid.endpoint / _COARSE_STEP))
+    two_level = param.p <= 1.0 and n < grid.step_count
+    shots = 0
+
+    def measure(guess, on):
+        """Residual and log f'(endpoint) of one counted shot."""
+        nonlocal shots
+        if shots >= _MAX_ITERATIONS:
+            raise ConvergenceError(f"no convergence after {shots} shots")
+        shots += 1
+        r = shoot(param, guess, on)
+        return r, math.log1p(r) if r > -1.0 else -math.inf
+
+    # level 1: Illinois on the bracket, coarse grid or the caller's
+    search = GridSpec(grid.endpoint / n, grid.endpoint) if two_level else grid
     lo, hi = config.bracket_low, config.bracket_high
-    grid = config.grid
-    r_lo = shoot(param, lo, grid, tableau=CLASSIC_RK4)
-    r_hi = shoot(param, hi, grid, tableau=CLASSIC_RK4)
+    (r_lo, y_lo), (r_hi, y_hi) = measure(lo, search), measure(hi, search)
     if not r_lo * r_hi < 0.0:
         raise BracketError(
             f"bracket invalid: residual signs agree at [{lo:g}, {hi:g}] "
             f"({r_lo:.3g}, {r_hi:.3g}) for P={param.p:g}"
         )
-    iterations = 0
-
-    while hi - lo > _SECANT_HANDOVER:
-        if iterations >= _MAX_ITERATIONS:
-            raise ConvergenceError(f"no convergence after {iterations} iterations (bisection)")
-        mid = 0.5 * (lo + hi)
-        r_mid = shoot(param, mid, grid, tableau=CLASSIC_RK4)
-        if r_lo * r_mid < 0.0:
-            hi, r_hi = mid, r_mid
+    a, ya, b, yb = math.log(lo), y_lo, math.log(hi), y_hi
+    x_prev, y_prev, kept = b, yb, None
+    while True:
+        x = (a * yb - b * ya) / (yb - ya)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        guess = math.exp(x)
+        r, y = measure(guess, search)
+        if abs(r) < tol:
+            break
+        x_prev, y_prev = x, y
+        # Illinois: an end kept twice in a row has its value halved
+        if ya * y < 0.0:
+            b, yb = x, y
+            if kept == "a":
+                ya *= 0.5
+            kept = "a"
         else:
-            lo, r_lo = mid, r_mid
-        iterations += 1
+            a, ya = x, y
+            if kept == "b":
+                yb *= 0.5
+            kept = "b"
+    if not two_level:
+        return guess
 
-    x_prev, x_cur = lo, hi
-    r_prev = shoot(param, x_prev, grid)
-    r_cur = shoot(param, x_cur, grid)
-    while iterations < _MAX_ITERATIONS:
-        if abs(r_cur) < config.residual_tol:
-            return x_cur
-        if abs(r_prev) < config.residual_tol:
-            return x_prev
-        if r_cur == r_prev:
-            x_next = 0.5 * (lo + hi)
-        else:
-            x_next = x_cur - r_cur * (x_cur - x_prev) / (r_cur - r_prev)
-            if not lo <= x_next <= hi:
-                x_next = 0.5 * (lo + hi)
-        r_next = shoot(param, x_next, grid)
+    # level 2: secant polish on the caller's grid inside the bracket
+    # the coarse root was found in
+    slope = (y - y_prev) / (x - x_prev)
+    r, y = measure(guess, grid)
+    while not abs(r) < tol:
         # keep the bracket current so midpoint fallbacks stay valid
-        if r_lo * r_next < 0.0:
-            hi = x_next
+        if ya * y < 0.0:
+            b = x
         else:
-            lo, r_lo = x_next, r_next
-        x_prev, r_prev, x_cur, r_cur = x_cur, r_cur, x_next, r_next
-        iterations += 1
-    raise ConvergenceError(f"no convergence after {iterations} iterations (secant)")
+            a, ya = x, y
+        x_next = x - y / slope if slope else 0.5 * (a + b)
+        if not a <= x_next <= b:
+            x_next = 0.5 * (a + b)
+        guess = math.exp(x_next)
+        r, y_next = measure(guess, grid)
+        slope = (y_next - y) / (x_next - x) if x_next != x else 0.0
+        x, y = x_next, y_next
+    return guess
 
 
 def matched_grid(result: TransformResult, target_step: float = 1e-3) -> GridSpec:

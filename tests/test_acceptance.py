@@ -6,8 +6,8 @@ both trace to the shear-thickening row P = 1.5, where the curvature has
 compact support (it reaches zero at a finite station).  First, the
 published reference value 0.398432 there is not reproducible from the
 stated procedure on any defensible variant we tried -- this package and
-its independent shooting oracle agree on 0.364774 to twelve digits,
-close to the 0.363215 of Acrivos, Shah & Petersen.  Second, a
+its independent shooting oracle agree on 0.364774 to 2.7e-12, close
+to the 0.363215 of Acrivos, Shah & Petersen.  Second, a
 centered-difference residual cannot stay below 1e-5 across the
 touchdown kink at step 1e-3 no matter how accurate the integration is;
 the error of the difference stencil itself is O(step) there.

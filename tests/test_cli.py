@@ -276,7 +276,8 @@ def _argv(draw):
     a step from ``_STEPS``, because the default step is ten times finer,
     and table and validate a P list, because their default lists take
     seconds.  A validate row that reaches the shooting oracle takes
-    about a second, so validate's P lists hold no valid index other than
+    0.07-0.15 s on a 2-core Xeon, which adds up to many seconds over the
+    examples, so validate's P lists hold no valid index other than
     1e-320, which blows up at once.
     """
     command = draw(st.sampled_from([*_OPTIONS, "frobnicate"]))

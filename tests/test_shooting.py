@@ -82,6 +82,70 @@ class TestSolveByShooting:
             ShootingConfig(1.0, 0.5, grid=BENCH_GRID)
         with pytest.raises(ValueError):
             ShootingConfig(0.1, 1.0, grid=BENCH_GRID, residual_tol=0.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="bracket_high"):
+                ShootingConfig(0.1, bad, grid=BENCH_GRID)
+            with pytest.raises(ValueError, match="residual_tol"):
+                ShootingConfig(0.1, 1.0, grid=BENCH_GRID, residual_tol=bad)
+
+    def test_divergent_bracket_end_reports_guess(self):
+        config = ShootingConfig(0.1, 1e300, grid=BENCH_GRID, residual_tol=1e-10)
+        with pytest.raises(ShotDivergedError) as err:
+            solve_by_shooting(make_parameter(1.0), config)
+        assert err.value.guess == 1e300
+
+
+def _recorded_grids(monkeypatch):
+    """List that collects the grid of every ``shooting.shoot`` call."""
+    grids = []
+    real = shooting.shoot
+
+    def recording(param, guess, grid):
+        grids.append(grid)
+        return real(param, guess, grid)
+
+    monkeypatch.setattr(shooting, "shoot", recording)
+    return grids
+
+
+class TestTwoLevelRootFinder:
+    @pytest.mark.parametrize("p", [0.1, 0.3, 1.0, 1.5])
+    def test_root_certified_on_caller_grid(self, solve_cached, p):
+        result = solve_cached(p)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
+        root = solve_by_shooting(result.param, config)
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+
+    def test_shear_thinning_finds_root_on_coarse_grid(self, solve_cached, monkeypatch):
+        result = solve_cached(0.3)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        solve_by_shooting(result.param, config)
+        coarse = [g for g in grids if g != config.grid]
+        assert 1 <= len(grids) - len(coarse) <= 3
+        assert coarse and all(g.endpoint == config.grid.endpoint and g.step > 0.01 for g in coarse)
+
+    def test_shear_thickening_shoots_on_caller_grid_only(self, solve_cached, monkeypatch):
+        result = solve_cached(1.5)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        solve_by_shooting(result.param, config)
+        assert grids and all(g == config.grid for g in grids)
+
+    def test_budget_counts_shots_on_both_grids(self, monkeypatch):
+        config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.01, 10.0), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        solve_by_shooting(make_parameter(1.0), config)
+        monkeypatch.setattr(shooting, "_MAX_ITERATIONS", sum(g != config.grid for g in grids))
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            solve_by_shooting(make_parameter(1.0), config)
+
+    def test_grid_coarser_than_search_grid_used_directly(self, monkeypatch):
+        config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.05, 10.0), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(make_parameter(1.0), config)
+        assert grids and all(g == config.grid for g in grids)
+        assert abs(root - BLASIUS_SKIN) <= 1e-8
 
 
 class TestMatchedGrid:
