@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CurvatureError, DomainError
 
 __all__ = [
@@ -119,7 +121,7 @@ def make_parameter(p: float) -> ModelParameter:
 
 
 def _clamp_window(param: ModelParameter) -> float:
-    """Most negative curvature the integrators still clamp to zero at P."""
+    """Most negative curvature still clamped to zero at P; below it is an error."""
     return -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
 
 
@@ -130,9 +132,11 @@ def ivp_rhs(param: ModelParameter):
     The fractional power is real only for non-negative curvature, so
     f'' in the clamp window [-1e-12, 0) counts as zero and anything more
     negative raises :class:`CurvatureError`.  For P > 1 the window is
-    ``TOUCHDOWN_WINDOW``, because stage states inside a Runge-Kutta step
-    may transiently undershoot zero curvature while crossing the
-    touchdown.
+    ``TOUCHDOWN_WINDOW``, because a Runge-Kutta step may undershoot zero
+    curvature while crossing the touchdown.  Once a step starts from
+    f'' <= 0 every stage sees zero curvature, so f' stays constant, f is
+    linear and the stored f'' stays frozen until
+    :func:`project_curvature` sets it to zero.
     """
     window = _clamp_window(param)
     coef = param.p * (param.p + 1.0)
@@ -149,27 +153,22 @@ def ivp_rhs(param: ModelParameter):
     return f
 
 
-def curvature_guard(param: ModelParameter):
-    """Post-step projection keeping the stored curvature non-negative.
+def project_curvature(param: ModelParameter, values: np.ndarray) -> np.ndarray:
+    """Set stored curvature in the clamp window to zero, in place, and return ``values``.
 
-    Rounding-scale undershoot (and, for P > 1, the finite touchdown
-    overshoot) is set to exactly zero, which also freezes the profile
-    there since the curvature equation has f''' = 0 once f'' = 0.
-    Anything more negative raises a curvature sign-loss error.
+    ``values`` holds (f, f', f'') rows as the integrator stored them.
+    Rounding-scale undershoot (and, for P > 1, the touchdown overshoot)
+    in the column f'' becomes exactly 0.0, the value :func:`ivp_rhs`
+    already integrated with.  Anything below the window raises
+    :class:`CurvatureError`.
     """
-    window = _clamp_window(param)
-
-    def guard(t: float, y: tuple) -> tuple:
-        d2f = y[2]
-        if d2f < 0.0:
-            if d2f < window:
-                raise CurvatureError(
-                    f"curvature sign loss at eta={t:.6g}: f''={d2f:.6g} (P={param.p:g})"
-                )
-            return (y[0], y[1], 0.0)
-        return y
-
-    return guard
+    d2f = values[:, 2]
+    i = int(d2f.argmin())
+    if d2f[i] < _clamp_window(param):
+        raise CurvatureError(f"curvature sign loss at row {i}: f''={d2f[i]:.6g} (P={param.p:g})")
+    if d2f[i] < 0.0:
+        d2f[d2f < 0.0] = 0.0
+    return values
 
 
 def pohlhausen_skin_friction(p: float) -> float:

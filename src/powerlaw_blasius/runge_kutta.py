@@ -17,6 +17,7 @@ Two schemes are embedded as literal tableau constants:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,7 +76,9 @@ class ButcherTableau:
             raise ValueError("tableau needs at least one stage")
         if len(weights) != s or len(coupling) != s:
             raise ValueError("nodes, weights and coupling disagree on stage count")
-        if self.declared_order < 1:
+        if not all(map(math.isfinite, (*nodes, *weights, *(a for row in coupling for a in row)))):
+            raise ValueError("tableau coefficients must be finite")
+        if not (isinstance(self.declared_order, int) and self.declared_order >= 1):
             raise ValueError("declared_order must be a positive integer")
         for i, row in enumerate(coupling):
             if len(row) > i:
@@ -85,18 +88,6 @@ class ButcherTableau:
         for i, row in enumerate(coupling):
             if abs(math.fsum(row) - nodes[i]) > _CONSISTENCY_TOL:
                 raise ValueError(f"row-sum condition violated at stage {i}")
-
-        # sparse layout used by the stepping loop: (j, a_ij) for a_ij != 0
-        rows = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0) for row in coupling)
-        terms = tuple((j, b) for j, b in enumerate(weights) if b != 0.0)
-        object.__setattr__(self, "_stage_rows", rows)
-        object.__setattr__(self, "_weight_terms", terms)
-        # stepping loops by state dimension, generated on first use (see _kernel)
-        object.__setattr__(self, "_kernels", {})
-
-    def __getstate__(self):
-        # the generated loops are not picklable; a copy builds its own
-        return {**self.__dict__, "_kernels": {}}
 
     @property
     def stage_count(self) -> int:
@@ -225,7 +216,7 @@ CLASSIC_RK4 = ButcherTableau(
 #: Skeleton of the stepping loop; _kernel fills in one line per hoisted
 #: product, four per stage and one per state component.
 _KERNEL_SOURCE = """
-def kernel(rhs, adjust_state, out, y, h, limit):
+def kernel(rhs, out, y, h, limit):
 {products}
     {state} = y
     t = 0.0
@@ -233,8 +224,6 @@ def kernel(rhs, adjust_state, out, y, h, limit):
         t_next = i * h
 {stages}
 {update}
-        if adjust_state is not None:
-            {state} = adjust_state(t_next, {state})
         # NaN fails the chained comparison too, so this covers non-finite
         if not ({bounded}):
             raise BlowUpError(t_next, f"state blow-up at t={{t_next:.6g}}: component exceeds {{limit:.1e}}")
@@ -243,23 +232,24 @@ def kernel(rhs, adjust_state, out, y, h, limit):
 """
 
 
+@functools.cache
 def _kernel(tableau: ButcherTableau, dim: int):
     """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
 
-    ``kernel(rhs, adjust_state, out, y, h, limit)`` steps from state
-    ``y`` at time 0 and stores step i's state in ``out[i]``.  Stage
-    states sum their terms in ``_stage_rows`` order and the update in
-    ``_weight_terms`` order, so the bits are those of the term-by-term
-    sparse tableau; only the products h*a, c*h and h*b are hoisted.
+    ``kernel(rhs, out, y, h, limit)`` steps from state ``y`` at time 0
+    and stores step i's state in ``out[i]``.  Stage states sum their
+    nonzero terms a_ij k_j in order of j and the update its nonzero
+    b_j k_j likewise, so the bits are those of the term-by-term sparse
+    tableau; only the products h*a, c*h and h*b are hoisted.  Equal
+    tableaus share one loop.
     """
-    if dim in tableau._kernels:
-        return tableau._kernels[dim]
-
     def each(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(m=m) for m in range(dim))
 
+    rows = [[(j, a) for j, a in enumerate(row) if a != 0.0] for row in tableau.coupling]
+    weight_terms = [(j, b) for j, b in enumerate(tableau.weights) if b != 0.0]
     products, stages = [], []
-    for i, (c, row) in enumerate(zip(tableau.nodes, tableau._stage_rows)):
+    for i, (c, row) in enumerate(zip(tableau.nodes, rows)):
         products += [f"    ha{i}_{j} = h * {a!r}" for j, a in row]
         products.append(f"    hc{i} = {c!r} * h")
         terms = "".join(f" + ha{i}_{j} * k{j}_{{m}}" for j, _ in row)
@@ -269,8 +259,8 @@ def _kernel(tableau: ButcherTableau, dim: int):
             f"        if not ({each(f'isfinite(k{i}_{{m}})', ' and ')}):",
             f"            raise BlowUpError(ts, f'rhs blow-up at t={{ts:.6g}} (stage {i})')",
         ]
-    products += [f"    hb{j} = h * {b!r}" for j, b in tableau._weight_terms]
-    terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in tableau._weight_terms)
+    products += [f"    hb{j} = h * {b!r}" for j, b in weight_terms]
+    terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in weight_terms)
     source = _KERNEL_SOURCE.format(
         products="\n".join(products),
         state=f"({each('y{m}')},)",
@@ -280,17 +270,10 @@ def _kernel(tableau: ButcherTableau, dim: int):
     )
     namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError}
     exec(compile(source, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
-    tableau._kernels[dim] = namespace["kernel"]
     return namespace["kernel"]
 
 
-def integrate(
-    rhs: RhsFunction,
-    tableau: ButcherTableau,
-    grid: GridSpec,
-    y0,
-    adjust_state: Callable[[float, tuple], tuple] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def integrate(rhs: RhsFunction, tableau: ButcherTableau, grid: GridSpec, y0) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = rhs(t, y) over the grid from y0.
 
     ``rhs`` receives the state as a tuple of floats and returns one
@@ -298,9 +281,7 @@ def integrate(
     Returns ``(t, y)`` with ``t`` the step_count + 1 node locations
     (computed as i*step, not by accumulation, so there is no drift) and
     ``y`` the (step_count + 1, dim) state samples; ``y[0]`` is ``y0``
-    exactly.  ``adjust_state``, when given, maps each post-step state to
-    the state actually stored and advanced -- the model layer uses it to
-    project rounding-scale curvature undershoot back onto f'' >= 0.
+    exactly and every later row is the state the next step starts from.
 
     Raises :class:`BlowUpError` on a non-finite stage evaluation or when
     any component exceeds ``STATE_LIMIT``.
@@ -310,5 +291,5 @@ def integrate(
         raise ValueError("initial state must be finite")
     out = np.empty((grid.step_count + 1, len(y)))
     out[0] = y
-    _kernel(tableau, len(y))(rhs, adjust_state, out, y, grid.step, STATE_LIMIT)
+    _kernel(tableau, len(y))(rhs, out, y, grid.step, STATE_LIMIT)
     return grid.abscissae(), out

@@ -67,13 +67,7 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     if not guess > 0.0:
         raise ValueError(f"curvature guess must be positive, got {guess!r}")
     try:
-        _, states = integrate(
-            model.ivp_rhs(param),
-            COOPER_VERNER_8,
-            grid,
-            (0.0, 0.0, float(guess)),
-            adjust_state=model.curvature_guard(param),
-        )
+        _, states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, float(guess)))
     except BlowUpError as exc:
         raise ShotDivergedError(float(guess), exc) from exc
     return float(states[-1, 1]) - 1.0
@@ -166,8 +160,11 @@ def matched_grid(result: TransformResult, target_step: float = 1e-3) -> GridSpec
 
     The endpoint is the physical image of the starred truncated
     boundary; the step is the closest divisor of it to ``target_step``,
-    so the endpoint lands on the grid exactly.
+    so the endpoint lands on the grid exactly.  ``target_step`` must be
+    positive and finite.
     """
+    if not 0.0 < target_step < math.inf:
+        raise ValueError(f"target_step must be positive and finite, got {target_step!r}")
     endpoint = float(result.physical.abscissae[-1])
     n = max(10, round(endpoint / target_step))
     return GridSpec(endpoint / n, endpoint)

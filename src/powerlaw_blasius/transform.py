@@ -26,6 +26,7 @@ would yield f''(0) ~ 3.01 instead of 0.332057336215.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +131,12 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     """Integrate the model in starred variables from (0, 0, 1).
 
     The returned profile has f*''(0) = 1 exactly, non-negative
-    curvature everywhere (the post-step guard projects touchdown
+    curvature everywhere (:func:`model.project_curvature` sets touchdown
     overshoot to zero) and, for a converged boundary, a slope plateau
     near the endpoint.
     """
-    eta, values = integrate(
-        model.ivp_rhs(param),
-        COOPER_VERNER_8,
-        grid,
-        (0.0, 0.0, 1.0),
-        adjust_state=model.curvature_guard(param),
-    )
-    return SolutionProfile(frame="starred", abscissae=eta, values=values)
+    eta, values = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
+    return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, values))
 
 
 #: Truncated-boundary search: the first candidate, the wall shear
@@ -160,7 +155,9 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     integration continues across candidates and keeps every segment, so
     the profile equals :func:`integrate_starred` on ``GridSpec(step, E)``
     bit for bit; segments are counted from the wall, so a step that does
-    not divide 5 still lands on the later candidates.
+    not divide 5 still lands on the later candidates.  The test is
+    signed, f*''(E) < 1e-8: for P > 1 the stored curvature past the
+    touchdown is a small undershoot that the final projection zeroes.
 
     Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
     multiple of the step or a candidate spans more than
@@ -168,7 +165,6 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     doubling cap (2**10 * 5) is exhausted.
     """
     rhs = model.ivp_rhs(param)
-    guard = model.curvature_guard(param)
     segments = [np.array([(0.0, 0.0, 1.0)])]
     done = 0
     endpoint = _SEARCH_START
@@ -178,12 +174,14 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
             raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
         n_more = round(ratio) - done
         grid = GridSpec(step, n_more * step)
-        _, seg = integrate(rhs, COOPER_VERNER_8, grid, segments[-1][-1], adjust_state=guard)
+        _, seg = integrate(rhs, COOPER_VERNER_8, grid, segments[-1][-1])
         segments.append(seg[1:])
         done += n_more
-        if abs(seg[-1, 2]) < _SEARCH_TOL:
+        # signed: a touchdown overshoot below zero is projected, not rejected
+        if seg[-1, 2] < _SEARCH_TOL:
             eta = GridSpec(step, endpoint).abscissae()
-            return SolutionProfile(frame="starred", abscissae=eta, values=np.concatenate(segments))
+            values = model.project_curvature(param, np.concatenate(segments))
+            return SolutionProfile(frame="starred", abscissae=eta, values=values)
         endpoint *= 2.0
     raise NoPlateauError(
         f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint / 2.0:g} (P={param.p:g})"
@@ -197,8 +195,8 @@ def recover_lambda(param: ModelParameter, starred_slope: float) -> float:
     unique scaling that maps the starred far-field slope onto the
     physical boundary condition f'(inf) = 1.
     """
-    if not starred_slope > 0.0:
-        raise ValueError(f"starred slope must be positive, got {starred_slope!r}")
+    if not 0.0 < starred_slope < math.inf:
+        raise ValueError(f"starred slope must be positive and finite, got {starred_slope!r}")
     return starred_slope ** (1.0 / (1.0 - param.delta))
 
 

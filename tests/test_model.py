@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from powerlaw_blasius import (
     pohlhausen_skin_friction,
     reference_table,
 )
-from powerlaw_blasius.model import ivp_rhs
+from powerlaw_blasius.model import ivp_rhs, project_curvature
 
 
 def rhs(param, y):
@@ -115,6 +116,22 @@ class TestRhs:
         assume(abs(base) > 1e-290)
         scaled = rhs(param, (lam * f, lam ** (1.0 - d) * df, lam ** (1.0 - 2.0 * d) * d2f))[2]
         assert scaled == pytest.approx(lam ** (1.0 - 3.0 * d) * base, rel=1e-12)
+
+
+class TestProjectCurvature:
+    @pytest.mark.parametrize("p,inside,below", [(0.3, -1e-13, -1e-11), (1.5, -5e-3, -2e-2)])
+    def test_window_on_the_final_row(self, p, inside, below):
+        # the projection is the only check the integrator's last stored
+        # row gets: no later step evaluates the RHS on it
+        param = make_parameter(p)
+        values = np.array([[0.0, 0.0, 1.0], [0.5, 0.9, -0.0], [1.0, 1.0, inside]])
+        assert project_curvature(param, values) is values
+        assert values[-1, 2] == 0.0 and math.copysign(1.0, values[-1, 2]) == 1.0
+        # -0.0 is not an undershoot and keeps its sign bit
+        assert math.copysign(1.0, values[1, 2]) == -1.0
+        values[-1, 2] = below
+        with pytest.raises(CurvatureError, match="sign loss at row 2"):
+            project_curvature(param, values)
 
 
 class TestPohlhausen:

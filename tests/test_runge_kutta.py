@@ -17,13 +17,14 @@ from powerlaw_blasius import (
     COOPER_VERNER_8,
     BlowUpError,
     ButcherTableau,
+    CurvatureError,
     GridSpec,
     integrate,
     make_parameter,
     model,
     solve,
 )
-from powerlaw_blasius.runge_kutta import STATE_LIMIT
+from powerlaw_blasius.runge_kutta import STATE_LIMIT, _kernel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,9 +37,11 @@ def reference_step(rhs, tableau, t, y, h):
     """One step of the sparse tableau, term by term: the arithmetic the generated loop must match."""
     idx = range(len(y))
     k = []
-    for stage, (ci, row) in enumerate(zip(tableau.nodes, tableau._stage_rows)):
+    for stage, (ci, row) in enumerate(zip(tableau.nodes, tableau.coupling)):
         ys = list(y)
-        for j, a in row:
+        for j, a in enumerate(row):
+            if a == 0.0:
+                continue
             ha = h * a
             for m in idx:
                 ys[m] += ha * k[j][m]
@@ -49,7 +52,9 @@ def reference_step(rhs, tableau, t, y, h):
                 raise BlowUpError(ts, f"rhs blow-up at t={ts:.6g} (stage {stage})")
         k.append(ki)
     out = list(y)
-    for j, b in tableau._weight_terms:
+    for j, b in enumerate(tableau.weights):
+        if b == 0.0:
+            continue
         hb = h * b
         for m in idx:
             out[m] += hb * k[j][m]
@@ -72,6 +77,32 @@ def reference_integrate(rhs, tableau, grid, y0, adjust_state=None):
                 raise BlowUpError(t_next, f"state blow-up at t={t_next:.6g}: component exceeds {STATE_LIMIT:.1e}")
         out[i + 1] = y
     return grid.abscissae(), out
+
+
+def reference_guard(param):
+    """Post-step curvature projection, per state: applied after every step it must store what
+    :func:`model.project_curvature` stores after the run."""
+    window = model._clamp_window(param)
+
+    def guard(t, y):
+        if y[2] < 0.0:
+            if y[2] < window:
+                raise CurvatureError(f"curvature sign loss at eta={t:.6g}: f''={y[2]:.6g} (P={param.p:g})")
+            return (y[0], y[1], 0.0)
+        return y
+
+    return guard
+
+
+def guarded_reference(param, tableau, grid, guess=1.0):
+    """States of the reference loop with the guard applied after every step."""
+    return reference_integrate(model.ivp_rhs(param), tableau, grid, (0.0, 0.0, guess), reference_guard(param))[1]
+
+
+def projected(param, tableau, grid, guess=1.0):
+    """States of :func:`integrate` with the curvature projected once afterwards."""
+    states = integrate(model.ivp_rhs(param), tableau, grid, (0.0, 0.0, guess))[1]
+    return model.project_curvature(param, states)
 
 
 def outcome(run):
@@ -107,6 +138,26 @@ class TestButcherTableau:
     def test_rejects_row_sum_violation(self):
         with pytest.raises(ValueError, match="row-sum"):
             ButcherTableau(nodes=(0.0, 0.5), weights=(0.5, 0.5), coupling=((), (1.0,)), declared_order=2)
+
+    @pytest.mark.parametrize(
+        "nodes,weights,coupling",
+        [
+            ((0.0, math.nan), (0.5, 0.5), ((), (math.nan,))),
+            ((0.0, math.inf), (0.5, 0.5), ((), (math.inf,))),
+            ((math.nan, 1.0), (0.5, 0.5), ((), (1.0,))),
+            ((0.0, 1.0), (0.5, math.nan), ((), (1.0,))),
+            ((0.0, 1.0), (math.inf, -math.inf), ((), (1.0,))),
+        ],
+        ids=["nan", "inf", "nan-node", "nan-weight", "inf-weights"],
+    )
+    def test_rejects_non_finite_coefficients(self, nodes, weights, coupling):
+        with pytest.raises(ValueError, match="finite"):
+            ButcherTableau(nodes=nodes, weights=weights, coupling=coupling, declared_order=2)
+
+    @pytest.mark.parametrize("order", [1.5, 0, -1, 2.0, "2"])
+    def test_rejects_non_integer_order(self, order):
+        with pytest.raises(ValueError, match="positive integer"):
+            ButcherTableau(nodes=(0.0, 1.0), weights=(0.5, 0.5), coupling=((), (1.0,)), declared_order=order)
 
 
 class TestGridSpec:
@@ -217,12 +268,20 @@ class TestIntegrate:
 
 
 class TestGeneratedLoop:
+    # one projection after the run stores the bits a guard after every
+    # step stored: once f'' <= 0 each stage sees zero curvature, so the
+    # undershoot stays frozen until the projection zeroes it
     @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4], ids=["cv8", "rk4"])
-    @pytest.mark.parametrize("p", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.5, 1.9])
     def test_model_matches_reference_bit_for_bit(self, tableau, p):
-        param = make_parameter(p)
-        args = (model.ivp_rhs(param), tableau, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0), model.curvature_guard(param))
-        assert integrate(*args)[1].tobytes() == reference_integrate(*args)[1].tobytes()
+        param, grid = make_parameter(p), GridSpec(0.01, 10.0)
+        assert projected(param, tableau, grid).tobytes() == guarded_reference(param, tableau, grid).tobytes()
+
+    @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4], ids=["cv8", "rk4"])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.5, 1.9])
+    def test_projection_matches_guard_on_benchmark_step(self, tableau, p):
+        param, grid = make_parameter(p), GridSpec(1e-3, 10.0)
+        assert projected(param, tableau, grid).tobytes() == guarded_reference(param, tableau, grid).tobytes()
 
     @given(
         tableau=st.sampled_from([COOPER_VERNER_8, CLASSIC_RK4]),
@@ -261,19 +320,21 @@ class TestGeneratedLoop:
         assert got[0] is BlowUpError and got[1].startswith(error)
 
     def test_built_on_first_use_and_reused(self):
-        code = "import powerlaw_blasius as pb; print(pb.COOPER_VERNER_8._kernels, pb.CLASSIC_RK4._kernels)"
+        code = "import powerlaw_blasius.runge_kutta as rk; print(rk._kernel.cache_info().currsize)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert done.stdout.split() == ["{}", "{}"], done.stderr
+        assert done.stdout.split() == ["0"], done.stderr
 
-        tab = ButcherTableau(CLASSIC_RK4.nodes, CLASSIC_RK4.weights, CLASSIC_RK4.coupling, 4)
-        assert tab._kernels == {}
-        integrate(exp_rhs, tab, GridSpec(0.1, 1.0), (1.0,))
-        kernel = tab._kernels[1]
-        integrate(exp_rhs, tab, GridSpec(0.05, 1.0), (2.0,))
-        assert tab._kernels == {1: kernel} and tab._kernels[1] is kernel
-        # compiled loops stay behind when a tableau is pickled
-        assert pickle.loads(pickle.dumps(tab))._kernels == {}
+        heun = ButcherTableau(nodes=(0.0, 1.0), weights=(0.5, 0.5), coupling=((), (1.0,)), declared_order=2)
+        built = _kernel.cache_info().currsize
+        integrate(exp_rhs, heun, GridSpec(0.1, 1.0), (1.0,))
+        assert _kernel.cache_info().currsize == built + 1
+        kernel = _kernel(heun, 1)
+        integrate(exp_rhs, heun, GridSpec(0.05, 1.0), (2.0,))
+        assert _kernel.cache_info().currsize == built + 1 and _kernel(heun, 1) is kernel
+        # a pickled copy is equal, so it shares the cached loop
+        copy = pickle.loads(pickle.dumps(heun))
+        assert copy == heun and _kernel(copy, 1) is kernel
 
 
 def _starred(p):
@@ -281,9 +342,7 @@ def _starred(p):
 
 
 def _rk4_states(p, guess):
-    param = make_parameter(p)
-    rhs, guard = model.ivp_rhs(param), model.curvature_guard(param)
-    return integrate(rhs, CLASSIC_RK4, GridSpec(1e-3, 10), (0.0, 0.0, guess), adjust_state=guard)[1]
+    return projected(make_parameter(p), CLASSIC_RK4, GridSpec(1e-3, 10), guess)
 
 
 # sha256 of the state arrays as the per-step loop stored them before the

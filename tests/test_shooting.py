@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,8 @@ class TestMatchedGrid:
         grid = matched_grid(result)
         assert grid.endpoint == result.physical.abscissae[-1]
         assert grid.step == pytest.approx(1e-3, rel=1e-3)
+
+    @pytest.mark.parametrize("target_step", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_target_step(self, solve_cached, target_step):
+        with pytest.raises(ValueError, match="target_step must be positive and finite"):
+            matched_grid(solve_cached(1.0), target_step=target_step)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_blasius import (
+    CurvatureError,
     GridSpec,
     NoPlateauError,
     SolutionProfile,
@@ -53,6 +56,19 @@ class TestIntegrateStarred:
         first = frozen[0]
         assert np.all(starred.d2f[first:] == 0.0)
         assert np.all(starred.df[first:] == starred.df[first])
+
+    def test_final_row_below_window_rejected(self, monkeypatch):
+        # no later step checks the last stored row, so the projection must
+        original = transform.integrate
+
+        def undershoot(*args):
+            eta, values = original(*args)
+            values[-1, 2] = -0.1
+            return eta, values
+
+        monkeypatch.setattr(transform, "integrate", undershoot)
+        with pytest.raises(CurvatureError, match="sign loss at row 1000"):
+            integrate_starred(make_parameter(1.5), GridSpec(0.01, 10.0))
 
     def test_explicit_grid(self):
         profile = integrate_starred(make_parameter(1.0), GridSpec(0.01, 10.0))
@@ -107,6 +123,16 @@ class TestFindTruncatedBoundary:
         assert np.array_equal(searched.abscissae, direct.abscissae)
         assert np.array_equal(searched.values, direct.values)
 
+    @pytest.mark.parametrize("step", [1e-3, 0.01])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+    def test_touchdown_accepted_at_first_candidate(self, p, step):
+        # past the P > 1 touchdown the integrator stores a small negative
+        # f*'' (down to -3e-4 at P = 1.9); the signed plateau test accepts
+        # it and the projection zeroes it
+        result = solve(make_parameter(p), step=step, eta_inf="auto")
+        assert result.truncated_boundary == 5.0
+        assert result.starred.d2f[-1] == 0.0
+
     def test_doubling_cap_exhausted(self, monkeypatch):
         monkeypatch.setattr(transform, "_DOUBLING_CAP", 0)
         with pytest.raises(NoPlateauError, match="up to 5 "):
@@ -141,6 +167,11 @@ class TestRecoverLambda:
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError, match="positive"):
             recover_lambda(make_parameter(1.0), 0.0)
+
+    @pytest.mark.parametrize("slope", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_slope(self, slope):
+        with pytest.raises(ValueError, match="starred slope must be positive and finite"):
+            recover_lambda(make_parameter(1.0), slope)
 
 
 class TestRescaleProfile:
