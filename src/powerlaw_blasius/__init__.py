@@ -38,7 +38,6 @@ from .shooting import ShootingConfig, matched_grid, shoot, solve_by_shooting
 from .transform import (
     SolutionProfile,
     TransformResult,
-    default_step,
     find_truncated_boundary,
     integrate_starred,
     recover_lambda,
@@ -66,7 +65,6 @@ __all__ = [
     "ShotDivergedError",
     "SolutionProfile",
     "TransformResult",
-    "default_step",
     "find_truncated_boundary",
     "integrate",
     "integrate_starred",

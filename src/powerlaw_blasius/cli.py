@@ -97,6 +97,7 @@ def cmd_solve(args) -> int:
     print(f"P               = {args.p:g}")
     print(f"delta           = {result.param.delta:.9g}")
     print(f"eta*_inf        = {result.truncated_boundary:.9g}")
+    print(f"step            = {result.starred.spacing:.9g}")
     print(f"starred slope   = {result.starred_slope_at_infinity:.9g}")
     print(f"lambda          = {result.lam:.9g}")
     print(f"skin friction   = {result.skin_friction:.9g}")
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve for one power-law index")
     sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2, P != 0.5")
-    sp.add_argument("--step", type=_positive_real, default=None, help="grid step (default 1e-3, 1e-4 for P <= 0.1)")
+    sp.add_argument("--step", type=_positive_real, default=None, help="grid step (default 1e-3; with --eta-inf "
+                    "auto and P <= 1, halved from 0.05 until f''(0) agrees to 1e-12)")
     sp.add_argument("--eta-inf", type=_boundary, default=10.0, help="starred truncated boundary, a real or 'auto'")
     sp.add_argument("--out", default=None, help="path prefix for CSV export of both profiles")
     sp.set_defaults(func=cmd_solve)

@@ -64,8 +64,8 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     guess, which is what makes bracketing sound.  Blow-ups surface as
     :class:`ShotDivergedError` carrying the guess.
     """
-    if not guess > 0.0:
-        raise ValueError(f"curvature guess must be positive, got {guess!r}")
+    if not 0.0 < guess < math.inf:
+        raise ValueError(f"curvature guess must be positive and finite, got {guess!r}")
     try:
         _, states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, float(guess)))
     except BlowUpError as exc:

@@ -22,6 +22,12 @@ Note the exponent in step 2: deriving it from the group action (the
 slope transforms with lam**(1-delta) and must land on 1) forces
 1/(1 - delta).  The sign matters -- at P = 1 the alternative 1/(delta-1)
 would yield f''(0) ~ 3.01 instead of 0.332057336215.
+
+The truncated boundary is "found by trial" with ``eta_inf="auto"``.
+When the caller gives no step and P <= 1, the trial also picks the
+step: it starts at 0.05 and halves until f''(0) holds still to 1e-12.
+An explicit step and every fixed boundary keep the caller's grid (by
+default the benchmark step 1e-3) bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .runge_kutta import COOPER_VERNER_8, MAX_STEP_COUNT, GridSpec, integrate
 __all__ = [
     "SolutionProfile",
     "TransformResult",
-    "default_step",
     "integrate_starred",
     "find_truncated_boundary",
     "recover_lambda",
@@ -117,14 +122,16 @@ class TransformResult:
     physical: SolutionProfile
 
 
-def default_step(p: float) -> float:
-    """Grid step used when the caller does not pick one.
+#: Grid step when the caller picks none: the published benchmark step,
+#: for every fixed-boundary solve and for ``eta_inf="auto"`` at P > 1.
+_DEFAULT_STEP = 1e-3
 
-    The published benchmark settings use 1e-3; below p = 0.1 the
-    coefficient 1/(P(P+1)) makes the wall region stiff enough that the
-    default shrinks to 1e-4.
-    """
-    return 1e-4 if p <= 0.1 else 1e-3
+#: Automatic step of ``eta_inf="auto"`` at P <= 1: the first step, the
+#: f''(0) agreement two successive halvings must reach, and the finest
+#: step tried (the first halving below the benchmark step).
+_AUTO_START = 0.05
+_AUTO_BUDGET = 1e-12
+_AUTO_FLOOR = _AUTO_START / 2**6
 
 
 def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
@@ -200,6 +207,32 @@ def recover_lambda(param: ModelParameter, starred_slope: float) -> float:
     return starred_slope ** (1.0 / (1.0 - param.delta))
 
 
+def _wall_curvature(param: ModelParameter, starred: SolutionProfile) -> float:
+    """f''(0) = lam**(2*delta - 1) recovered from a starred profile's final slope."""
+    return recover_lambda(param, float(starred.df[-1])) ** (2.0 * param.delta - 1.0)
+
+
+def _auto_starred(param: ModelParameter) -> SolutionProfile:
+    """Searched starred profile on a step chosen by halving from ``_AUTO_START``.
+
+    Stops at the first pair of successive steps whose searches land on
+    the same boundary with f''(0) within ``_AUTO_BUDGET`` and returns the
+    finer one; at ``_AUTO_FLOOR`` it returns that level whatever the
+    agreement.
+    """
+    step = _AUTO_START
+    fine = find_truncated_boundary(param, step)
+    while step > _AUTO_FLOOR:
+        coarse, step = fine, step / 2.0
+        fine = find_truncated_boundary(param, step)
+        if (
+            fine.abscissae[-1] == coarse.abscissae[-1]
+            and abs(_wall_curvature(param, fine) - _wall_curvature(param, coarse)) <= _AUTO_BUDGET
+        ):
+            break
+    return fine
+
+
 def rescale_profile(starred: SolutionProfile, param: ModelParameter, lam: float) -> SolutionProfile:
     """Map a starred profile through the group action into physical variables.
 
@@ -209,11 +242,15 @@ def rescale_profile(starred: SolutionProfile, param: ModelParameter, lam: float)
     """
     if starred.frame != "starred":
         raise ValueError("rescale_profile expects a starred-frame profile")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     d = param.delta
-    eta = starred.abscissae * lam**-d
-    values = starred.values * np.array([lam**-1.0, lam ** (d - 1.0), lam ** (2.0 * d - 1.0)])
+    try:
+        with np.errstate(over="raise"):
+            eta = starred.abscissae * lam**-d
+            values = starred.values * np.array([lam**-1.0, lam ** (d - 1.0), lam ** (2.0 * d - 1.0)])
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"lam = {lam!r} overflows the group action at P={param.p:g}") from None
     return SolutionProfile(frame="physical", abscissae=eta, values=values)
 
 
@@ -222,20 +259,23 @@ def solve(
 ) -> TransformResult:
     """Run the full non-iterative pipeline for one parameter value.
 
-    Two knobs set the starred grid: ``step`` (default
-    :func:`default_step`) and the truncated boundary ``eta_inf``
-    (default 10.0; with the default step that is the published benchmark
-    grid).  ``eta_inf="auto"`` takes the starred profile the boundary
-    search :func:`find_truncated_boundary` integrated, so the starred
-    problem is integrated once either way.  The boundary must be an
-    integer multiple of the step, else :class:`GridSpec` raises
-    ``ValueError``.
+    Two knobs set the starred grid: ``step`` (default 1e-3) and the
+    truncated boundary ``eta_inf`` (default 10.0; with the default step
+    that is the published benchmark grid).  ``eta_inf="auto"`` takes the
+    starred profile the boundary search :func:`find_truncated_boundary`
+    integrated.  With no ``step`` and P <= 1 it also picks the step: it
+    searches at 0.05 and halves until two successive steps land on the
+    same boundary with f''(0) within 1e-12, down to 0.05/2**6, and keeps
+    the finer profile.  The boundary must be an integer multiple of the
+    step, else :class:`GridSpec` raises ``ValueError``.
     """
-    h = default_step(param.p) if step is None else float(step)
-    if eta_inf == "auto":
-        starred = find_truncated_boundary(param, h)
-    else:
+    h = _DEFAULT_STEP if step is None else float(step)
+    if eta_inf != "auto":
         starred = integrate_starred(param, GridSpec(h, 10.0 if eta_inf is None else float(eta_inf)))
+    elif step is None and param.p <= 1.0:
+        starred = _auto_starred(param)
+    else:
+        starred = find_truncated_boundary(param, h)
     slope = float(starred.df[-1])
     lam = recover_lambda(param, slope)
     skin = lam ** (2.0 * param.delta - 1.0)

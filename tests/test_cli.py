@@ -55,6 +55,17 @@ class TestSolveCommand:
         assert code == 0
         assert "eta*_inf        = 10" in out
 
+    @pytest.mark.parametrize(
+        "argv, step",
+        [(["--p", "1", "--eta-inf", "auto"], "0.025"), (["--p", "1", "--step", "0.001"], "0.001"),
+         (["--p", "1.5", "--eta-inf", "auto"], "0.001")],
+        ids=["auto-chosen", "explicit", "shear-thickening-auto"],
+    )
+    def test_reports_the_step(self, capsys, argv, step):
+        code, out, _ = run(capsys, "solve", *argv)
+        assert code == 0
+        assert f"step            = {step}\n" in out
+
     def test_csv_export(self, tmp_path, capsys):
         prefix = tmp_path / "prof"
         code, out, _ = run(capsys, "solve", "--p", "0.3", "--eta-inf", "10", "--out", str(prefix))

@@ -41,6 +41,11 @@ class TestShoot:
         with pytest.raises(ValueError, match="positive"):
             shoot(make_parameter(1.0), 0.0, BENCH_GRID)
 
+    @pytest.mark.parametrize("guess", [math.inf, math.nan])
+    def test_rejects_non_finite_guess(self, guess):
+        with pytest.raises(ValueError, match=f"curvature guess must be positive and finite, got {guess!r}"):
+            shoot(make_parameter(1.0), guess, GridSpec(0.01, 10.0))
+
     def test_divergent_shot_reports_guess(self):
         with pytest.raises(ShotDivergedError) as err:
             shoot(make_parameter(1.0), 1e300, GridSpec(0.01, 10.0))

@@ -7,7 +7,7 @@ PUBLIC = [
     "BlowUpError", "BoundaryLayerError", "BracketError", "ButcherTableau", "CLASSIC_RK4",
     "COOPER_VERNER_8", "ConvergenceError", "CurvatureError", "DomainError", "GridSpec",
     "ModelParameter", "NoPlateauError", "ReferenceRow", "ShootingConfig", "ShotDivergedError",
-    "SolutionProfile", "TransformResult", "default_step", "find_truncated_boundary", "integrate",
+    "SolutionProfile", "TransformResult", "find_truncated_boundary", "integrate",
     "integrate_starred", "make_parameter", "matched_grid", "pohlhausen_skin_friction",
     "recover_lambda", "reference_table", "rescale_profile", "shoot", "solve", "solve_by_shooting",
 ]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -23,6 +24,9 @@ from powerlaw_blasius import transform
 #: Published nine-digit wall shear for the Newtonian case on the
 #: benchmark grid (step 1e-3, truncated boundary 10).
 BLASIUS_SKIN = 0.332057336215
+
+#: Boyd, SIAM Rev. 50 (2008): the Newtonian f''(0) to 17 digits.
+BOYD = 0.33205733621519630
 
 #: Frozen regression values computed by this package on the benchmark
 #: grid and cross-checked against the shooting oracle to ~1e-12.
@@ -200,6 +204,93 @@ class TestRescaleProfile:
         with pytest.raises(ValueError, match="positive"):
             rescale_profile(starred, make_parameter(0.8), 0.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        starred = integrate_starred(make_parameter(1.0), GridSpec(0.05, 10.0))
+        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam!r}"):
+            rescale_profile(starred, make_parameter(1.0), lam)
+
+    # at P = 1, eta scales by lam and (f, f', f'') by (1/lam, 1/lam**2,
+    # 1/lam**3): 1e-300 overflows a power, 1e308 only the product with eta
+    @pytest.mark.parametrize("lam", [1e-300, 1e308])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_its_own_error(self, lam):
+        starred = integrate_starred(make_parameter(1.0), GridSpec(0.05, 10.0))
+        with pytest.raises(ValueError, match=re.escape(f"lam = {lam!r} overflows the group action at P=1")):
+            rescale_profile(starred, make_parameter(1.0), lam)
+
+
+class TestAutoStep:
+    """``eta_inf="auto"`` with no step: halve from 0.05 while f''(0) moves (P <= 1)."""
+
+    @staticmethod
+    def searched_steps(monkeypatch, replace=None):
+        steps = []
+        real = transform.find_truncated_boundary
+
+        def spy(param, step):
+            steps.append(step)
+            return (replace or real)(param, step)
+
+        monkeypatch.setattr(transform, "find_truncated_boundary", spy)
+        return steps
+
+    @pytest.mark.parametrize("p", [0.6, 0.8, 1.0])
+    def test_matches_benchmark_step(self, p, solve_cached):
+        auto = solve_cached(p, eta_inf="auto")
+        fixed = solve_cached(p, step=1e-3, eta_inf="auto")
+        assert auto.truncated_boundary == fixed.truncated_boundary
+        assert abs(auto.skin_friction - fixed.skin_friction) <= 5e-13
+        assert auto.starred.spacing >= 0.0125
+
+    def test_newtonian_lands_on_boyd(self, solve_cached):
+        assert abs(solve_cached(1.0, eta_inf="auto").skin_friction - BOYD) <= 1e-13
+
+    def test_stops_at_first_agreeing_pair_and_keeps_the_finer(self, monkeypatch):
+        steps = self.searched_steps(monkeypatch)
+        result = solve(make_parameter(1.0), eta_inf="auto")
+        assert steps == [0.05, 0.025]
+        assert result.starred.spacing == 0.025
+
+    def test_pair_must_land_on_the_same_boundary(self, monkeypatch):
+        # the coarsest level runs on to E = 20; at P = 1 its f''(0) is
+        # within the budget of the next level's, which stops at E = 10
+        def overrun(param, step):
+            if step == 0.05:
+                return integrate_starred(param, GridSpec(step, 20.0))
+            return find_truncated_boundary(param, step)
+
+        param = make_parameter(1.0)
+        wall = [transform._wall_curvature(param, overrun(param, h)) for h in (0.05, 0.025)]
+        assert abs(wall[0] - wall[1]) <= transform._AUTO_BUDGET
+        steps = self.searched_steps(monkeypatch, overrun)
+        result = solve(param, eta_inf="auto")
+        assert steps == [0.05, 0.025, 0.0125]
+        assert result.starred.spacing == 0.0125
+        assert result.truncated_boundary == 10.0
+
+    def test_unmet_budget_stops_at_the_floor(self, monkeypatch):
+        monkeypatch.setattr(transform, "_AUTO_BUDGET", 0.0)
+        steps = self.searched_steps(monkeypatch)
+        result = solve(make_parameter(1.0), eta_inf="auto")
+        assert steps == [0.05 / 2**k for k in range(7)]
+        assert result.starred.spacing == 0.05 / 2**6 == 7.8125e-4
+        assert result.truncated_boundary == 10.0
+
+    @pytest.mark.parametrize("p", [1.2, 1.9])
+    def test_shear_thickening_keeps_the_benchmark_step(self, p):
+        auto = solve(make_parameter(p), eta_inf="auto")
+        fixed = solve(make_parameter(p), step=1e-3, eta_inf="auto")
+        assert auto.starred.spacing == pytest.approx(1e-3, rel=1e-12)
+        assert auto.skin_friction == fixed.skin_friction
+        assert auto.starred.values.tobytes() == fixed.starred.values.tobytes()
+        assert auto.physical.values.tobytes() == fixed.physical.values.tobytes()
+
+    def test_explicit_step_is_searched_once(self, monkeypatch):
+        steps = self.searched_steps(monkeypatch)
+        solve(make_parameter(1.0), step=0.01, eta_inf="auto")
+        assert steps == [0.01]
+
 
 class TestSolve:
     def test_newtonian_benchmark(self, solve_cached):
@@ -262,8 +353,9 @@ class TestSolve:
         residual = p * (p + 1.0) * d3f + prof.f[1:-1] * prof.d2f[1:-1] ** (2.0 - p)
         assert np.abs(residual).max() <= 1e-5
 
-    def test_default_step_shrinks_for_small_index(self, solve_cached):
-        assert solve_cached(0.05).starred.spacing == pytest.approx(1e-4, rel=1e-12)
+    def test_default_step_is_the_benchmark_step(self, solve_cached):
+        # one constant at every P; the small-index rows move by < 1.5e-13
+        assert solve_cached(0.05).starred.spacing == pytest.approx(1e-3, rel=1e-12)
         assert solve_cached(0.2).starred.spacing == pytest.approx(1e-3, rel=1e-12)
 
     def test_small_index_regression(self, solve_cached):
