@@ -5,6 +5,9 @@ state (f, f', f'') over 10^4 - 10^6 uniform steps, so the stepping loop
 is straight-line Python over local floats: it is generated from the
 tableau on first use, once per tableau and state dimension, and numpy
 enters only to store each step's state.  Nothing is compiled at import.
+When every stage derivative is one constant k (the model past the
+P > 1 touchdown), ``_constant_rows`` produces the rows the loop would
+store with numpy, bit for bit, without stepping.
 Two schemes are embedded as literal tableau constants:
 
 * ``COOPER_VERNER_8`` -- the 11-stage explicit method of order 8 by
@@ -213,6 +216,11 @@ CLASSIC_RK4 = ButcherTableau(
 )
 
 
+def _state_blow_up(t: float, limit: float) -> str:
+    """The message of a state beyond ``limit`` at t, from the loop and from :func:`_constant_rows`."""
+    return f"state blow-up at t={t:.6g}: component exceeds {limit:.1e}"
+
+
 #: Skeleton of the stepping loop; _kernel fills in one line per hoisted
 #: product, four per stage and one per state component.
 _KERNEL_SOURCE = """
@@ -226,7 +234,7 @@ def kernel(rhs, out, y, h, limit):
 {update}
         # NaN fails the chained comparison too, so this covers non-finite
         if not ({bounded}):
-            raise BlowUpError(t_next, f"state blow-up at t={{t_next:.6g}}: component exceeds {{limit:.1e}}")
+            raise BlowUpError(t_next, state_blow_up(t_next, limit))
         out[i] = {state}
         t = t_next
 """
@@ -268,7 +276,7 @@ def _kernel(tableau: ButcherTableau, dim: int):
         update=each(f"        y{{m}} = y{{m}}{terms}", "\n"),
         bounded=each("-limit <= y{m} <= limit", " and "),
     )
-    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError}
+    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError, "state_blow_up": _state_blow_up}
     exec(compile(source, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -293,3 +301,28 @@ def integrate(rhs: RhsFunction, tableau: ButcherTableau, grid: GridSpec, y0) -> 
     out[0] = y
     _kernel(tableau, len(y))(rhs, out, y, grid.step, STATE_LIMIT)
     return grid.abscissae(), out
+
+
+def _constant_rows(tableau: ButcherTableau, h: float, k, rows: np.ndarray) -> None:
+    """Fill ``rows[1:]`` with the states the stepping loop stores after ``rows[0]``
+    when every stage derivative is ``k``.
+
+    The loop then adds h*b_j * k_m to each component y_m, one nonzero
+    weight b_j after another; ``np.cumsum`` (a sequential
+    ``add.accumulate``) adds the same increments in the same order, so
+    the rows are bit for bit those of ``integrate`` with the constant
+    right-hand side ``k`` (finite).  Raises :class:`BlowUpError`, at
+    i*h as the loop does, on the first row i with a component beyond
+    ``STATE_LIMIT``.
+    """
+    hb = np.array([h * b for b in tableau.weights if b != 0.0])
+    n, w = len(rows) - 1, hb.size
+    sums = np.empty(n * w + 1)
+    for m, slope in enumerate(k):
+        sums[0] = rows[0, m]
+        sums[1:].reshape(n, w)[:] = hb * slope
+        rows[1:, m] = np.cumsum(sums, out=sums)[w::w]
+    bad = ~(np.abs(rows) <= STATE_LIMIT).all(axis=1)
+    if bad.any():
+        t = int(bad.argmax()) * h
+        raise BlowUpError(t, _state_blow_up(t, STATE_LIMIT))

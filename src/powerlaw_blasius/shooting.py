@@ -3,8 +3,8 @@
 Shooting iterates on the unknown wall curvature until the far-field
 condition f'(eta_inf) = 1 is met, which is exactly the work the
 non-iterative transformation avoids.  The two solvers share nothing but
-the Runge-Kutta integrator and the ODE itself, so agreement between
-them validates the scaling-group logic.
+the ODE and the march that integrates it (:func:`transform._march`), so
+agreement between them validates the scaling-group logic.
 
 The root finder works in log-log coordinates, log f''(0) against
 log f'(eta_inf), where the residual is close to a straight line.  For
@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import model
-from .errors import BlowUpError, BracketError, ConvergenceError, ShotDivergedError
+from .errors import BlowUpError, BracketError, ConvergenceError, CurvatureError, ShotDivergedError
 from .model import ModelParameter
-from .runge_kutta import COOPER_VERNER_8, GridSpec, integrate
-from .transform import TransformResult
+from .runge_kutta import GridSpec, integrate
+from .transform import TransformResult, _march
 
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
@@ -60,15 +59,17 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     """Boundary residual f'(endpoint) - 1 for the curvature guess.
 
     Integrates the physical initial-value problem from (0, 0, guess)
-    with the order-8 scheme.  The residual is strictly increasing in the
-    guess, which is what makes bracketing sound.  Blow-ups surface as
+    with the order-8 scheme through :func:`transform._march`, which stops
+    stepping at the P > 1 touchdown.  The residual is strictly
+    increasing in the guess, which is what makes bracketing sound.
+    Blow-ups and curvature sign loss surface as
     :class:`ShotDivergedError` carrying the guess.
     """
     if not 0.0 < guess < math.inf:
         raise ValueError(f"curvature guess must be positive and finite, got {guess!r}")
     try:
-        _, states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, float(guess)))
-    except BlowUpError as exc:
+        states = _march(param, grid, (0.0, 0.0, float(guess)), integrate)
+    except (BlowUpError, CurvatureError) as exc:
         raise ShotDivergedError(float(guess), exc) from exc
     return float(states[-1, 1]) - 1.0
 

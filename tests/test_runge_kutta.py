@@ -24,7 +24,7 @@ from powerlaw_blasius import (
     model,
     solve,
 )
-from powerlaw_blasius.runge_kutta import STATE_LIMIT, _kernel
+from powerlaw_blasius.runge_kutta import STATE_LIMIT, _constant_rows, _kernel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -265,6 +265,37 @@ class TestIntegrate:
         with pytest.raises(BlowUpError, match="^state blow-up at t=") as err:
             integrate(lambda t, y: (3.0 * y[0],), COOPER_VERNER_8, GridSpec(0.1, 20.0), (1.0,))
         assert err.value.t < 20.0
+
+
+def filled(tableau, grid, y, k):
+    """Rows from ``y`` over the grid as :func:`_constant_rows` fills them for the constant derivative ``k``."""
+    rows = np.empty((grid.step_count + 1, len(y)))
+    rows[0] = y
+    _constant_rows(tableau, grid.step, k, rows)
+    return rows
+
+
+HEUN = ButcherTableau(nodes=(0.0, 1.0), weights=(0.5, 0.5), coupling=((), (1.0,)), declared_order=2)
+
+
+class TestConstantRows:
+    # past the P > 1 touchdown every stage derivative is one constant k, and
+    # the rows numpy fills must be the ones the loop would store
+    @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4, HEUN], ids=["cv8", "rk4", "heun"])
+    @pytest.mark.parametrize("k", [(1.7, 0.0, -0.0), (0.3, -0.0, 0.0), (-2.1, 1e-3, -0.0), (0.0, -0.0, 3.3)])
+    @pytest.mark.parametrize("y", [(0.3, 1.2, -1e-3), (0.0, -0.0, 0.0), (4.1, 2.0, -0.0)])
+    def test_matches_integrate_bit_for_bit(self, tableau, k, y):
+        for h, n in [(1e-3, 3000), (0.01, 1025), (0.37, 10)]:
+            grid = GridSpec(h, n * h)
+            states = integrate(lambda t, s: k, tableau, grid, y)[1]
+            assert filled(tableau, grid, y, k).tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("tableau", [COOPER_VERNER_8, CLASSIC_RK4, HEUN], ids=["cv8", "rk4", "heun"])
+    def test_bound_check_matches_integrate(self, tableau):
+        grid, y, k = GridSpec(0.1, 20.0), (1.0, 2.0, 0.0), (STATE_LIMIT / 15.0, 0.0, -0.0)
+        got = outcome(lambda: filled(tableau, grid, y, k))
+        assert got == outcome(lambda: integrate(lambda t, s: k, tableau, grid, y)[1])
+        assert got[0] is BlowUpError and got[2]["t"] < 20.0
 
 
 class TestGeneratedLoop:

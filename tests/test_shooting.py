@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from powerlaw_blasius import (
+    COOPER_VERNER_8,
+    BlowUpError,
     BracketError,
     ConvergenceError,
+    CurvatureError,
     GridSpec,
     ShootingConfig,
     ShotDivergedError,
+    integrate,
     make_parameter,
     matched_grid,
     shoot,
     solve_by_shooting,
 )
-from powerlaw_blasius import shooting
+from powerlaw_blasius import model, runge_kutta, shooting, transform
 
 BLASIUS_SKIN = 0.332057336215
 BENCH_GRID = GridSpec(0.001, 10.0)
@@ -50,6 +54,37 @@ class TestShoot:
         with pytest.raises(ShotDivergedError) as err:
             shoot(make_parameter(1.0), 1e300, GridSpec(0.01, 10.0))
         assert err.value.guess == 1e300
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_blow_up_past_first_call_reports_absolute_time(self, monkeypatch, p):
+        # the march restarts each integrate call at t = 0; at P = 1 the state
+        # leaves the limit in the second call, at P = 1.5 in the tail past
+        # the touchdown, and both must report the time of one call over the grid
+        monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
+        param, grid = make_parameter(p), GridSpec(0.01, 20.0)
+        with pytest.raises(BlowUpError, match="^state blow-up") as whole:
+            integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
+        assert whole.value.t > transform._CHUNK * grid.step
+        with pytest.raises(ShotDivergedError) as err:
+            shoot(param, 1.0, grid)
+        assert err.value.__cause__.t == whole.value.t
+        assert str(err.value) == f"shot diverged for initial curvature guess 1: {whole.value}"
+
+    def test_stops_stepping_past_the_touchdown(self, solve_cached, monkeypatch):
+        result = solve_cached(1.5)
+        param, guess, grid = result.param, result.skin_friction, matched_grid(result)
+        states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, guess))[1]
+        touchdown = int(np.argmax(states[:, 2] <= 0.0))
+        steps = []
+        real = shooting.integrate
+
+        def counting(rhs, tableau, grid, y0):
+            steps.append(grid.step_count)
+            return real(rhs, tableau, grid, y0)
+
+        monkeypatch.setattr(shooting, "integrate", counting)
+        assert shoot(param, guess, grid) == float(states[-1, 1]) - 1.0
+        assert 0 < touchdown <= sum(steps) < touchdown + transform._CHUNK < grid.step_count
 
 
 class TestSolveByShooting:
@@ -100,6 +135,14 @@ class TestSolveByShooting:
         with pytest.raises(ShotDivergedError) as err:
             solve_by_shooting(make_parameter(1.0), config)
         assert err.value.guess == 1e300
+
+    def test_curvature_sign_loss_reports_guess(self):
+        # a guess so large that the first step overshoots into negative
+        # curvature is a diverged shot too, not a bare CurvatureError
+        config = ShootingConfig(0.05, 1e8, grid=GridSpec(1e-3, 20.0))
+        with pytest.raises(ShotDivergedError, match="1e\\+08: negative curvature") as err:
+            solve_by_shooting(make_parameter(1.0), config)
+        assert err.value.guess == 1e8 and isinstance(err.value.__cause__, CurvatureError)
 
 
 def _recorded_grids(monkeypatch):

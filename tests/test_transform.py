@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_blasius import (
+    COOPER_VERNER_8,
     CurvatureError,
     GridSpec,
     NoPlateauError,
     SolutionProfile,
     find_truncated_boundary,
+    integrate,
     integrate_starred,
     make_parameter,
     recover_lambda,
     rescale_profile,
     solve,
 )
-from powerlaw_blasius import transform
+from powerlaw_blasius import model, transform
 
 #: Published nine-digit wall shear for the Newtonian case on the
 #: benchmark grid (step 1e-3, truncated boundary 10).
@@ -62,15 +64,16 @@ class TestIntegrateStarred:
         assert np.all(starred.df[first:] == starred.df[first])
 
     def test_final_row_below_window_rejected(self, monkeypatch):
-        # no later step checks the last stored row, so the projection must
-        original = transform.integrate
+        # no later step checks the last stored row, so the projection must;
+        # at P = 1.5 and 1000 steps that row ends the one block of the
+        # constant-derivative tail
+        original = transform._constant_rows
 
-        def undershoot(*args):
-            eta, values = original(*args)
-            values[-1, 2] = -0.1
-            return eta, values
+        def undershoot(tableau, h, k, rows):
+            original(tableau, h, k, rows)
+            rows[-1, 2] = -0.1
 
-        monkeypatch.setattr(transform, "integrate", undershoot)
+        monkeypatch.setattr(transform, "_constant_rows", undershoot)
         with pytest.raises(CurvatureError, match="sign loss at row 1000"):
             integrate_starred(make_parameter(1.5), GridSpec(0.01, 10.0))
 
@@ -79,6 +82,56 @@ class TestIntegrateStarred:
         assert profile.frame == "starred"
         assert profile.abscissae.size == 1001
         assert abs(profile.df[-1] - 2.08540) < 5e-4
+
+
+def _one_call(param, grid):
+    """Starred states of one ``integrate`` call over the grid, projected: what a march must store."""
+    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
+    return model.project_curvature(param, states)
+
+
+def _outcome(run):
+    """Bytes of the states ``run()`` returns, or the type and message of the curvature error it raises."""
+    try:
+        return run().tobytes()
+    except CurvatureError as exc:
+        return type(exc), str(exc)
+
+
+class TestMarch:
+    @pytest.mark.parametrize("step", [1e-3, 0.01])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0, 1.1, 1.5, 1.7573, 1.7765, 1.84375, 1.9, 1.99])
+    def test_matches_one_integrate_call(self, p, step):
+        # past the P > 1 touchdown the rows come from numpy, not from
+        # stepping; they, and the step-0.01 CurvatureError bands from
+        # P = 1.757 up, must be what stepping gives
+        param, grid = make_parameter(p), GridSpec(step, 10.0)
+        got = _outcome(lambda: integrate_starred(param, grid).values)
+        assert got == _outcome(lambda: _one_call(param, grid))
+        if step == 0.01 and p in (1.7765, 1.84375):
+            assert got[0] is CurvatureError
+
+    @pytest.mark.parametrize("p", [0.8, 1.5])
+    @pytest.mark.parametrize("n", [10, 521, 522, 1024, 1025, 1033, 1034, 1536])
+    def test_any_step_count(self, p, n):
+        # 1025 steps leave one step after two calls of 512, too few for a
+        # GridSpec: it joins the last call
+        param, grid = make_parameter(p), GridSpec(0.01, n * 0.01)
+        assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
+
+    def test_stepping_stops_past_the_touchdown(self, monkeypatch):
+        param, grid = make_parameter(1.5), GridSpec(1e-3, 10.0)
+        touchdown = int(np.argmax(_one_call(param, grid)[:, 2] == 0.0))
+        steps = []
+        real = transform.integrate
+
+        def counting(rhs, tableau, grid, y0):
+            steps.append(grid.step_count)
+            return real(rhs, tableau, grid, y0)
+
+        monkeypatch.setattr(transform, "integrate", counting)
+        integrate_starred(param, grid)
+        assert 0 < touchdown <= sum(steps) < touchdown + transform._CHUNK
 
 
 class TestSolutionProfileValidation:
