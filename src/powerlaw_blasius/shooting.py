@@ -8,8 +8,9 @@ agreement between them validates the scaling-group logic.
 
 The root finder works in log-log coordinates, log f''(0) against
 log f'(eta_inf), where the residual is close to a straight line.  For
-P <= 1 it finds the root on a coarse grid with the caller's endpoint
-and certifies it with one to three shots on the caller's grid.
+P <= 1 one Illinois loop finds the root on a coarse grid with the
+caller's endpoint and then certifies it on the caller's grid, going on
+from the coarse root and its bracket when the first shot there misses.
 
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
@@ -62,15 +63,18 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     with the order-8 scheme through :func:`transform._march`, which stops
     stepping at the P > 1 touchdown.  The residual is strictly
     increasing in the guess, which is what makes bracketing sound.
-    Blow-ups and curvature sign loss surface as
+    Blow-ups, curvature sign loss and a right-hand side that overflows
+    the float range (f''**(2 - P) for P < 1) surface as
     :class:`ShotDivergedError` carrying the guess.
     """
     if not 0.0 < guess < math.inf:
         raise ValueError(f"curvature guess must be positive and finite, got {guess!r}")
     try:
-        states = _march(param, grid, (0.0, 0.0, float(guess)), integrate)
+        states = _march(param, grid.step, (grid.step_count,), (0.0, 0.0, float(guess)), integrate)
     except (BlowUpError, CurvatureError) as exc:
         raise ShotDivergedError(float(guess), exc) from exc
+    except OverflowError as exc:
+        raise ShotDivergedError(float(guess), OverflowError(f"rhs overflow {exc}")) from exc
     return float(states[-1, 1]) - 1.0
 
 
@@ -78,23 +82,24 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     """Wall curvature f''(0) with |f'(endpoint) - 1| < residual_tol on ``config.grid``.
 
     Bracketed Illinois (regula falsi that halves a stale end's value)
-    runs on x = log f''(0), y = log f'(endpoint).  For P <= 1 it runs on
-    a grid of step ~``_COARSE_STEP`` with the caller's endpoint; secant
-    steps on the caller's grid, seeded with the coarse root and the last
-    coarse slope, then certify the root, falling back to the midpoint of
-    the last coarse bracket if they leave it.  For P > 1, whose coarse
-    shots overshoot the touchdown clamp window, and for a caller grid no
-    finer than the coarse one, Illinois runs on the caller's grid alone.
-    Every shot counts against ``_MAX_ITERATIONS``.  Deterministic:
-    repeated runs are bit-identical.
+    runs on x = log f''(0), y = log f'(endpoint).  For P <= 1 it starts
+    on a grid of step ~``_COARSE_STEP`` with the caller's endpoint.  The
+    first coarse shot within the tolerance is shot again on the caller's
+    grid; if that misses, the same loop goes on there inside the last
+    coarse bracket, whose end values move by the offset the two grids
+    show at that root, with the halving count reset.  For P > 1, whose
+    coarse shots overshoot the touchdown clamp window, and for a caller
+    grid no finer than the coarse one, it runs on the caller's grid
+    alone.  Every shot counts against ``_MAX_ITERATIONS``.
+    Deterministic: repeated runs are bit-identical.
     """
     grid, tol = config.grid, config.residual_tol
     n = max(10, round(grid.endpoint / _COARSE_STEP))
-    two_level = param.p <= 1.0 and n < grid.step_count
+    on = GridSpec(grid.endpoint / n, grid.endpoint) if param.p <= 1.0 and n < grid.step_count else grid
     shots = 0
 
-    def measure(guess, on):
-        """Residual and log f'(endpoint) of one counted shot."""
+    def measure(guess):
+        """Residual and log f'(endpoint) of one counted shot on ``on``."""
         nonlocal shots
         if shots >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {shots} shots")
@@ -102,26 +107,29 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
         r = shoot(param, guess, on)
         return r, math.log1p(r) if r > -1.0 else -math.inf
 
-    # level 1: Illinois on the bracket, coarse grid or the caller's
-    search = GridSpec(grid.endpoint / n, grid.endpoint) if two_level else grid
     lo, hi = config.bracket_low, config.bracket_high
-    (r_lo, y_lo), (r_hi, y_hi) = measure(lo, search), measure(hi, search)
+    (r_lo, ya), (r_hi, yb) = measure(lo), measure(hi)
     if not r_lo * r_hi < 0.0:
         raise BracketError(
             f"bracket invalid: residual signs agree at [{lo:g}, {hi:g}] "
             f"({r_lo:.3g}, {r_hi:.3g}) for P={param.p:g}"
         )
-    a, ya, b, yb = math.log(lo), y_lo, math.log(hi), y_hi
-    x_prev, y_prev, kept = b, yb, None
+    a, b, kept = math.log(lo), math.log(hi), None
     while True:
         x = (a * yb - b * ya) / (yb - ya)
         if not a < x < b:
             x = 0.5 * (a + b)
         guess = math.exp(x)
-        r, y = measure(guess, search)
+        r, y = measure(guess)
+        if abs(r) < tol and on is not grid:
+            # the coarse root, shot again on the caller's grid; moving the
+            # coarse end values by the grids' offset keeps the next step
+            # as good as a secant step through the coarse slope
+            on, y_coarse = grid, y
+            r, y = measure(guess)
+            ya, yb, kept = ya + (y - y_coarse), yb + (y - y_coarse), None
         if abs(r) < tol:
-            break
-        x_prev, y_prev = x, y
+            return guess
         # Illinois: an end kept twice in a row has its value halved
         if ya * y < 0.0:
             b, yb = x, y
@@ -133,27 +141,6 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
             if kept == "b":
                 yb *= 0.5
             kept = "b"
-    if not two_level:
-        return guess
-
-    # level 2: secant polish on the caller's grid inside the bracket
-    # the coarse root was found in
-    slope = (y - y_prev) / (x - x_prev)
-    r, y = measure(guess, grid)
-    while not abs(r) < tol:
-        # keep the bracket current so midpoint fallbacks stay valid
-        if ya * y < 0.0:
-            b = x
-        else:
-            a, ya = x, y
-        x_next = x - y / slope if slope else 0.5 * (a + b)
-        if not a <= x_next <= b:
-            x_next = 0.5 * (a + b)
-        guess = math.exp(x_next)
-        r, y_next = measure(guess, grid)
-        slope = (y_next - y) / (x_next - x) if x_next != x else 0.0
-        x, y = x_next, y_next
-    return guess
 
 
 def matched_grid(result: TransformResult, target_step: float = 1e-3) -> GridSpec:

@@ -23,17 +23,20 @@ slope transforms with lam**(1-delta) and must land on 1) forces
 1/(1 - delta).  The sign matters -- at P = 1 the alternative 1/(delta-1)
 would yield f''(0) ~ 3.01 instead of 0.332057336215.
 
-Every integration goes through ``_march``, which steps in calls of
-``_CHUNK`` steps.  For P > 1 it stops stepping after the call that
-reaches the touchdown: past it f' is constant and f linear, and the
-rows left are the stepping loop's constant-derivative rows, which
-numpy produces with the bits stepping would give.
+Every integration goes through ``_march``, one march from the wall
+that steps in calls of ``_CHUNK`` steps up to a stop row.  For P > 1
+it stops stepping after the call that reaches the touchdown: past it
+f' is constant and f linear, and the rows left are the stepping loop's
+constant-derivative rows, which numpy produces with the bits stepping
+would give.
 
-The truncated boundary is "found by trial" with ``eta_inf="auto"``.
-When the caller gives no step and P <= 1, the trial also picks the
-step: it starts at 0.05 and halves until f''(0) holds still to 1e-12.
-An explicit step and every fixed boundary keep the caller's grid (by
-default the benchmark step 1e-3) bit for bit.
+The truncated boundary is "found by trial" with ``eta_inf="auto"``:
+the candidates 5, 10, 20, ... are the stops of one march, which ends
+at the first whose wall shear has decayed.  When the caller gives no
+step and P <= 1, the trial also picks the step: it starts at 0.05 and
+halves until f''(0) holds still to 1e-12.  An explicit step and every
+fixed boundary keep the caller's grid (by default the benchmark step
+1e-3) bit for bit.
 """
 
 from __future__ import annotations
@@ -146,42 +149,57 @@ _AUTO_FLOOR = _AUTO_START / 2**6
 #: of 64 to 2048, 512 gave the fastest step-1e-3 solves at P = 0.3 to 1.9.
 _CHUNK = 512
 
+#: Truncated-boundary search: the first candidate, the wall shear
+#: |f*''(E)| that accepts a candidate, and the number of doublings.
+_SEARCH_START = 5.0
+_SEARCH_TOL = 1e-8
+_DOUBLING_CAP = 10
 
-def _march(param: ModelParameter, grid: GridSpec, y0, integrate) -> np.ndarray:
-    """The states one CV8 ``integrate`` call stores over ``grid`` from ``y0``, bit for bit.
 
-    Works in blocks of ``_CHUNK`` steps; a remainder under the ten
-    steps a GridSpec needs joins the last block.  A block that ends on a
-    stored f'' the model clamps (``_clamp_window(param) <= f'' <= 0``,
-    the P > 1 touchdown) ends the stepping: from that state on every
-    stage derivative is its ``rhs``, (f', 0, -0), so every later block
-    is the loop's constant-derivative rows, one numpy pass each.  A
-    blow-up past the first block is raised again by one call over the
-    whole grid, so it reports the time that call reports.
-    ``integrate`` is the caller's own name for
-    :func:`runge_kutta.integrate`, so each solver's calls go through
-    its module.
+def _march(param: ModelParameter, step: float, stops, y0, integrate) -> np.ndarray:
+    """The states one CV8 ``integrate`` call stores from ``y0`` up to a stop row, bit for bit.
+
+    ``stops`` yields increasing row numbers and is read one at a time.
+    The march ends at the first stop whose stored f'' is below
+    ``_SEARCH_TOL`` (the boundary search's acceptance; the test is
+    signed, so a P > 1 touchdown overshoot passes), or at the last stop.
+    It works in blocks of ``_CHUNK`` steps; a remainder under the ten
+    steps a GridSpec needs joins the block that reaches the stop.  A
+    block that ends on a stored f'' the model clamps
+    (``_clamp_window(param) <= f'' <= 0``, the P > 1 touchdown) ends the
+    stepping: from that state on every stage derivative is its ``rhs``,
+    (f', 0, -0), so every later block is the loop's constant-derivative
+    rows, one numpy pass each.  A blow-up past the first block is raised
+    again by one call from ``y0`` to the stop being marched to, so it
+    reports the time that call reports.  ``integrate`` is the caller's
+    own name for :func:`runge_kutta.integrate`, so each solver's calls
+    go through its module.
     """
-    rhs, window, h, n = model.ivp_rhs(param), model._clamp_window(param), grid.step, grid.step_count
-    out = np.empty((n + 1, 3))
-    out[0] = y0
+    rhs, window = model.ivp_rhs(param), model._clamp_window(param)
+    blocks = [np.array([y0], dtype=float)]
     done, k = 0, None
     try:
-        while done < n:
-            m = n - done if n - done < _CHUNK + 10 else _CHUNK
-            if k is None:
-                _, states = integrate(rhs, COOPER_VERNER_8, GridSpec(h, m * h), out[done])
-                out[done + 1 : done + m + 1] = states[1:]
-            else:
-                _constant_rows(COOPER_VERNER_8, h, k, out[done : done + m + 1])
-            done += m
-            if k is None and window <= out[done, 2] <= 0.0:
-                k = rhs(done * h, out[done].tolist())
+        for stop in stops:
+            # even a first stop at row 0 makes one block, for GridSpec to reject
+            while done < stop or not done:
+                m = stop - done if stop - done < _CHUNK + 10 else _CHUNK
+                if k is None:
+                    rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, m * step), blocks[-1][-1])[1]
+                    if window <= rows[-1, 2] <= 0.0:
+                        k = rhs((done + m) * step, rows[-1].tolist())
+                else:
+                    rows = np.empty((m + 1, 3))
+                    rows[0] = blocks[-1][-1]
+                    _constant_rows(COOPER_VERNER_8, step, k, rows)
+                blocks.append(rows[1:])
+                done += m
+            if blocks[-1][-1, 2] < _SEARCH_TOL:
+                break
     except BlowUpError:
         if done:
-            integrate(rhs, COOPER_VERNER_8, grid, y0)
+            integrate(rhs, COOPER_VERNER_8, GridSpec(step, stop * step), y0)
         raise
-    return out
+    return np.concatenate(blocks)
 
 
 def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
@@ -192,15 +210,9 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     overshoot to zero) and, for a converged boundary, a slope plateau
     near the endpoint.
     """
-    values = model.project_curvature(param, _march(param, grid, (0.0, 0.0, 1.0), integrate))
+    states = _march(param, grid.step, (grid.step_count,), (0.0, 0.0, 1.0), integrate)
+    values = model.project_curvature(param, states)
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=values)
-
-
-#: Truncated-boundary search: the first candidate, the wall shear
-#: |f*''(E)| that accepts a candidate, and the number of doublings.
-_SEARCH_START = 5.0
-_SEARCH_TOL = 1e-8
-_DOUBLING_CAP = 10
 
 
 def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfile:
@@ -209,38 +221,36 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     Operationalizes truncation "found by trial": the wall-shear decay
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
     the Newtonian case E lands on the benchmark boundary 10).  The
-    integration continues across candidates and keeps every segment, so
-    the profile equals :func:`integrate_starred` on ``GridSpec(step, E)``
-    bit for bit; segments are counted from the wall, so a step that does
-    not divide 5 still lands on the later candidates.  The test is
-    signed, f*''(E) < 1e-8: for P > 1 the stored curvature past the
-    touchdown is a small undershoot that the final projection zeroes.
+    candidates are stops of one march from the wall, at rows
+    round(E / step), so the profile equals :func:`integrate_starred` on
+    ``GridSpec(step, E)`` bit for bit, a step that does not divide 5
+    still lands on the later candidates, and a blow-up reports its time
+    from the wall.  The test is signed, f*''(E) < 1e-8: for P > 1 the
+    stored curvature past the touchdown is a small undershoot that the
+    final projection zeroes.
 
     Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
-    multiple of the step or a candidate spans more than
+    multiple of the step or a candidate reached spans more than
     ``MAX_STEP_COUNT`` steps, and :class:`NoPlateauError` once the
     doubling cap (2**10 * 5) is exhausted.
     """
-    segments = [np.array([(0.0, 0.0, 1.0)])]
-    done = 0
-    endpoint = _SEARCH_START
-    for _ in range(_DOUBLING_CAP + 1):
-        ratio = endpoint / step
-        if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
-            raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
-        n_more = round(ratio) - done
-        seg = _march(param, GridSpec(step, n_more * step), segments[-1][-1], integrate)
-        segments.append(seg[1:])
-        done += n_more
-        # signed: a touchdown overshoot below zero is projected, not rejected
-        if seg[-1, 2] < _SEARCH_TOL:
-            eta = GridSpec(step, endpoint).abscissae()
-            values = model.project_curvature(param, np.concatenate(segments))
-            return SolutionProfile(frame="starred", abscissae=eta, values=values)
-        endpoint *= 2.0
-    raise NoPlateauError(
-        f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint / 2.0:g} (P={param.p:g})"
-    )
+    endpoints = []
+
+    def stops():
+        for j in range(_DOUBLING_CAP + 1):
+            endpoints.append(_SEARCH_START * 2.0**j)
+            ratio = endpoints[-1] / step
+            if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
+                raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
+            yield round(ratio)
+
+    states = _march(param, step, stops(), (0.0, 0.0, 1.0), integrate)
+    if not states[-1, 2] < _SEARCH_TOL:
+        raise NoPlateauError(
+            f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoints[-1]:g} (P={param.p:g})"
+        )
+    eta = GridSpec(step, endpoints[-1]).abscissae()
+    return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))
 
 
 def recover_lambda(param: ModelParameter, starred_slope: float) -> float:

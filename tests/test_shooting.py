@@ -55,6 +55,13 @@ class TestShoot:
             shoot(make_parameter(1.0), 1e300, GridSpec(0.01, 10.0))
         assert err.value.guess == 1e300
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.8])
+    def test_rhs_overflow_reports_guess(self, p):
+        # for P < 1 the first stage's (f'')**(2 - P) leaves the float range
+        with pytest.raises(ShotDivergedError, match="guess 1e\\+300: rhs overflow") as err:
+            shoot(make_parameter(p), 1e300, BENCH_GRID)
+        assert err.value.guess == 1e300 and isinstance(err.value.__cause__, OverflowError)
+
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_blow_up_past_first_call_reports_absolute_time(self, monkeypatch, p):
         # the march restarts each integrate call at t = 0; at P = 1 the state
@@ -136,6 +143,12 @@ class TestSolveByShooting:
             solve_by_shooting(make_parameter(1.0), config)
         assert err.value.guess == 1e300
 
+    def test_overflowing_bracket_end_reports_guess(self):
+        config = ShootingConfig(0.05, 1e300, grid=BENCH_GRID, residual_tol=1e-10)
+        with pytest.raises(ShotDivergedError, match="rhs overflow") as err:
+            solve_by_shooting(make_parameter(0.3), config)
+        assert err.value.guess == 1e300
+
     def test_curvature_sign_loss_reports_guess(self):
         # a guess so large that the first step overshoots into negative
         # curvature is a diverged shot too, not a bare CurvatureError
@@ -189,6 +202,25 @@ class TestTwoLevelRootFinder:
         monkeypatch.setattr(shooting, "_MAX_ITERATIONS", sum(g != config.grid for g in grids))
         with pytest.raises(ConvergenceError, match="no convergence"):
             solve_by_shooting(make_parameter(1.0), config)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("p, bracket", [(0.3, (0.05, 2.5)), (0.3, (0.01, 10.0)), (0.6, (0.05, 2.5))])
+    def test_caller_grid_goes_on_from_a_missed_coarse_root(self, solve_cached, monkeypatch, p, bracket, tol):
+        # on a coarse step of 0.25 the coarse root is ~1e-11 off on the
+        # caller's grid, so at 1e-13 the first shot there misses and the
+        # loop goes on inside the coarse bracket; one more shot is what the
+        # secant step through the coarse slope needed too
+        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        result = solve_cached(p)
+        config = ShootingConfig(*bracket, grid=matched_grid(result, target_step=0.01), residual_tol=tol)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(result.param, config)
+        assert abs(shoot(result.param, root, config.grid)) < tol
+        assert config.bracket_low < root < config.bracket_high
+        assert sum(g == config.grid for g in grids) == (2 if tol == 1e-13 else 1)
+        monkeypatch.setattr(shooting, "_MAX_ITERATIONS", len(grids) - 1)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            solve_by_shooting(result.param, config)
 
     def test_grid_coarser_than_search_grid_used_directly(self, monkeypatch):
         config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.05, 10.0), residual_tol=1e-10)

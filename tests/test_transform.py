@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from powerlaw_blasius import (
     COOPER_VERNER_8,
+    BlowUpError,
     CurvatureError,
     GridSpec,
     NoPlateauError,
@@ -21,7 +22,7 @@ from powerlaw_blasius import (
     rescale_profile,
     solve,
 )
-from powerlaw_blasius import model, transform
+from powerlaw_blasius import model, runge_kutta, transform
 
 #: Published nine-digit wall shear for the Newtonian case on the
 #: benchmark grid (step 1e-3, truncated boundary 10).
@@ -170,9 +171,9 @@ class TestFindTruncatedBoundary:
 
     @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032)])
     def test_profile_is_the_starred_integration(self, p, step):
-        # the segments joined across candidates reproduce one integration
+        # the march across the candidate stops reproduces one integration
         # from the wall bit for bit; step 0.0032 does not divide the first
-        # candidate 5, so it pins counting segment lengths from the wall
+        # candidate 5, so it pins counting stop rows from the wall
         param = make_parameter(p)
         searched = find_truncated_boundary(param, step)
         direct = integrate_starred(param, GridSpec(step, searched.abscissae[-1]))
@@ -190,6 +191,37 @@ class TestFindTruncatedBoundary:
         assert result.truncated_boundary == 5.0
         assert result.starred.d2f[-1] == 0.0
 
+    def test_touchdown_carries_across_search_stops(self, monkeypatch):
+        # at P = 1.1 the touchdown (row ~5780) lies past the first candidate
+        # 5, so the search marches on to 10 and must stop stepping there
+        param = make_parameter(1.1)
+        direct = integrate_starred(param, GridSpec(1e-3, 10.0))
+        touchdown = int(np.argmax(direct.d2f == 0.0))
+        steps = []
+        real = transform.integrate
+
+        def counting(rhs, tableau, grid, y0):
+            steps.append(grid.step_count)
+            return real(rhs, tableau, grid, y0)
+
+        monkeypatch.setattr(transform, "integrate", counting)
+        searched = find_truncated_boundary(param, 1e-3)
+        assert searched.abscissae[-1] == 10.0
+        assert searched.values.tobytes() == direct.values.tobytes()
+        assert 5000 < touchdown <= sum(steps) < touchdown + transform._CHUNK
+
+    def test_blow_up_reports_time_from_the_wall(self, monkeypatch):
+        # the state leaves the limit between the candidates 5 and 10; the
+        # search must report the time one call from the wall reports
+        monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
+        param = make_parameter(0.3)
+        with pytest.raises(BlowUpError) as whole:
+            integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0))
+        with pytest.raises(BlowUpError) as err:
+            find_truncated_boundary(param, 0.01)
+        assert whole.value.t == pytest.approx(7.72)
+        assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
+
     def test_doubling_cap_exhausted(self, monkeypatch):
         monkeypatch.setattr(transform, "_DOUBLING_CAP", 0)
         with pytest.raises(NoPlateauError, match="up to 5 "):
@@ -198,6 +230,11 @@ class TestFindTruncatedBoundary:
     def test_start_must_cover_ten_steps(self):
         with pytest.raises(ValueError, match="10 steps"):
             solve(make_parameter(1.0), step=1.0, eta_inf="auto")
+
+    def test_start_below_one_step_rejected(self):
+        # 5 / 20 rounds to row 0: still a grid error, not a march that never steps
+        with pytest.raises(ValueError, match="endpoint must be positive, got 0.0"):
+            solve(make_parameter(1.0), step=20.0, eta_inf="auto")
 
 
 class TestRecoverLambda:
