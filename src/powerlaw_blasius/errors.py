@@ -13,8 +13,8 @@ class CurvatureError(BoundaryLayerError, ValueError):
     """Curvature f'' went genuinely negative where the model needs it >= 0.
 
     The fractional power (f'')^(2-P) is real only for non-negative
-    curvature; tiny negative values are rounding noise and get clamped,
-    anything beyond the clamp window raises this.
+    curvature; tiny negative values (any, for P > 1: touchdown overshoot)
+    get clamped, anything beyond the clamp window raises this.
     """
 
 

@@ -23,6 +23,7 @@ table of published skin-friction values used for regression.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,9 @@ __all__ = [
     "CURVATURE_NOISE",
 ]
 
-#: Curvature more negative than this is an error; within [-noise, 0) it is
-#: rounding debris near the asymptote and is treated as exactly zero.
+#: For P <= 1 curvature below -noise is an error; within [-noise, 0) it
+#: is rounding debris near the asymptote and is treated as exactly zero.
 CURVATURE_NOISE = 1e-12
-
-#: For P > 1 the curvature reaches zero at a finite station (the profile
-#: has compact support) and a fixed-step integrator overshoots the
-#: touchdown by O(step**(1/(P-1))); observed ~2e-7 at P = 1.5 with step
-#: 1e-3.  Undershoot within this window is projected back to zero, beyond
-#: it integration aborts.
-TOUCHDOWN_WINDOW = 1e-2
 
 
 @dataclass(frozen=True)
@@ -121,21 +115,21 @@ def make_parameter(p: float) -> ModelParameter:
 
 
 def _clamp_window(param: ModelParameter) -> float:
-    """Most negative curvature still clamped to zero at P; below it is an error."""
-    return -TOUCHDOWN_WINDOW if param.p > 1.0 else -CURVATURE_NOISE
+    """Most negative curvature still clamped to zero at P (any, for P > 1); below it is an error."""
+    return -math.inf if param.p > 1.0 else -CURVATURE_NOISE
 
 
 def ivp_rhs(param: ModelParameter):
     """Right-hand side f(t, y) of the model as a first-order system.
 
     For y = (f, f', f'') returns (f', f'', -f (f'')^(2-P) / (P (P+1))).
-    The fractional power is real only for non-negative curvature, so
-    f'' in the clamp window [-1e-12, 0) counts as zero and anything more
-    negative raises :class:`CurvatureError`.  For P > 1 the window is
-    ``TOUCHDOWN_WINDOW``, because a Runge-Kutta step may undershoot zero
-    curvature while crossing the touchdown.  Once a step starts from
-    f'' <= 0 every stage sees zero curvature, so f' stays constant, f is
-    linear and the stored f'' stays frozen until
+    The fractional power is real only for non-negative curvature.  For
+    P <= 1, f'' in the clamp window [-1e-12, 0) counts as zero and
+    anything more negative raises :class:`CurvatureError`.  For P > 1,
+    where f'' falls monotonically to zero and stays there, every
+    negative f'' is a step's touchdown overshoot and counts as zero.
+    Once a step starts from f'' <= 0 every stage sees zero curvature, so
+    f' stays constant, f is linear and the stored f'' stays frozen until
     :func:`project_curvature` sets it to zero.
     """
     window = _clamp_window(param)
@@ -157,10 +151,10 @@ def project_curvature(param: ModelParameter, values: np.ndarray) -> np.ndarray:
     """Set stored curvature in the clamp window to zero, in place, and return ``values``.
 
     ``values`` holds (f, f', f'') rows as the integrator stored them.
-    Rounding-scale undershoot (and, for P > 1, the touchdown overshoot)
+    Rounding-scale undershoot (and, for P > 1, any touchdown overshoot)
     in the column f'' becomes exactly 0.0, the value :func:`ivp_rhs`
-    already integrated with.  Anything below the window raises
-    :class:`CurvatureError`.
+    already integrated with.  For P <= 1 anything below the window
+    raises :class:`CurvatureError`.
     """
     d2f = values[:, 2]
     i = int(d2f.argmin())

@@ -7,10 +7,10 @@ the ODE and the march that integrates it (:func:`transform._march`), so
 agreement between them validates the scaling-group logic.
 
 The root finder works in log-log coordinates, log f''(0) against
-log f'(eta_inf), where the residual is close to a straight line.  For
-P <= 1 one Illinois loop finds the root on a coarse grid with the
-caller's endpoint and then certifies it on the caller's grid, going on
-from the coarse root and its bracket when the first shot there misses.
+log f'(eta_inf), where the residual is close to a straight line.  One
+Illinois loop finds the root on a coarse grid with the caller's
+endpoint and then certifies it on the caller's grid, going on from the
+coarse root when the first shot there misses.
 
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
@@ -31,8 +31,8 @@ from .transform import TransformResult, _march
 
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
-#: Step of the coarse grid the root is found on for P <= 1.  A shot on it
-#: costs about 1/20 of one on a 1e-3 grid; the caller's grid then only
+#: Step of the coarse grid the root is found on.  A shot on it costs
+#: about 1/20 of one on a 1e-3 grid; the caller's grid then only
 #: certifies the root.
 _COARSE_STEP = 0.02
 
@@ -82,20 +82,20 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     """Wall curvature f''(0) with |f'(endpoint) - 1| < residual_tol on ``config.grid``.
 
     Bracketed Illinois (regula falsi that halves a stale end's value)
-    runs on x = log f''(0), y = log f'(endpoint).  For P <= 1 it starts
-    on a grid of step ~``_COARSE_STEP`` with the caller's endpoint.  The
-    first coarse shot within the tolerance is shot again on the caller's
-    grid; if that misses, the same loop goes on there inside the last
-    coarse bracket, whose end values move by the offset the two grids
-    show at that root, with the halving count reset.  For P > 1, whose
-    coarse shots overshoot the touchdown clamp window, and for a caller
-    grid no finer than the coarse one, it runs on the caller's grid
-    alone.  Every shot counts against ``_MAX_ITERATIONS``.
+    runs on x = log f''(0), y = log f'(endpoint).  It starts on a grid of
+    step ~``_COARSE_STEP`` with the caller's endpoint.  The first coarse
+    shot within the tolerance is shot again on the caller's grid; if that
+    misses, the same loop goes on there, with the halving count reset and
+    the end values moved by the offset the two grids show at that root.
+    It goes on inside the last coarse bracket, or inside the config
+    bracket when the chord through the moved end values puts the root
+    outside the last one.  A caller grid no finer than the coarse one is
+    used alone.  Every shot counts against ``_MAX_ITERATIONS``.
     Deterministic: repeated runs are bit-identical.
     """
     grid, tol = config.grid, config.residual_tol
     n = max(10, round(grid.endpoint / _COARSE_STEP))
-    on = GridSpec(grid.endpoint / n, grid.endpoint) if param.p <= 1.0 and n < grid.step_count else grid
+    on = GridSpec(grid.endpoint / n, grid.endpoint) if n < grid.step_count else grid
     shots = 0
 
     def measure(guess):
@@ -115,6 +115,7 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
             f"({r_lo:.3g}, {r_hi:.3g}) for P={param.p:g}"
         )
     a, b, kept = math.log(lo), math.log(hi), None
+    first = a, b, ya, yb
     while True:
         x = (a * yb - b * ya) / (yb - ya)
         if not a < x < b:
@@ -124,9 +125,12 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
         if abs(r) < tol and on is not grid:
             # the coarse root, shot again on the caller's grid; moving the
             # coarse end values by the grids' offset keeps the next step
-            # as good as a secant step through the coarse slope
+            # as good as a secant step through the coarse slope, and a root
+            # that step puts outside the last bracket is sought in the first
             on, y_coarse = grid, y
             r, y = measure(guess)
+            if not a < x - (y - y_coarse) * (b - a) / (yb - ya) < b:
+                a, b, ya, yb = first
             ya, yb, kept = ya + (y - y_coarse), yb + (y - y_coarse), None
         if abs(r) < tol:
             return guess

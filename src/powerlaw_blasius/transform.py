@@ -34,9 +34,9 @@ The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the candidates 5, 10, 20, ... are the stops of one march, which ends
 at the first whose wall shear has decayed.  When the caller gives no
 step and P <= 1, the trial also picks the step: it starts at 0.05 and
-halves until f''(0) holds still to 1e-12.  An explicit step and every
-fixed boundary keep the caller's grid (by default the benchmark step
-1e-3) bit for bit.
+halves until f''(0) holds still to 1e-12 of max(1, f''(0)).  An
+explicit step and every fixed boundary keep the caller's grid (by
+default the benchmark step 1e-3) bit for bit.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class TransformResult:
 _DEFAULT_STEP = 1e-3
 
 #: Automatic step of ``eta_inf="auto"`` at P <= 1: the first step, the
-#: f''(0) agreement two successive halvings must reach, and the finest
-#: step tried (the first halving below the benchmark step).
+#: f''(0) agreement two successive halvings must reach (of max(1, f''(0))),
+#: and the finest step tried (the first halving below the benchmark step).
 _AUTO_START = 0.05
 _AUTO_BUDGET = 1e-12
 _AUTO_FLOOR = _AUTO_START / 2**6
@@ -165,8 +165,8 @@ def _march(param: ModelParameter, step: float, stops, y0, integrate) -> np.ndarr
     signed, so a P > 1 touchdown overshoot passes), or at the last stop.
     It works in blocks of ``_CHUNK`` steps; a remainder under the ten
     steps a GridSpec needs joins the block that reaches the stop.  A
-    block that ends on a stored f'' the model clamps
-    (``_clamp_window(param) <= f'' <= 0``, the P > 1 touchdown) ends the
+    block that ends on a stored f'' the model clamps (any f'' <= 0 at
+    P > 1: the touchdown, however deep the overshoot) ends the
     stepping: from that state on every stage derivative is its ``rhs``,
     (f', 0, -0), so every later block is the loop's constant-derivative
     rows, one numpy pass each.  A blow-up past the first block is raised
@@ -226,7 +226,7 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     ``GridSpec(step, E)`` bit for bit, a step that does not divide 5
     still lands on the later candidates, and a blow-up reports its time
     from the wall.  The test is signed, f*''(E) < 1e-8: for P > 1 the
-    stored curvature past the touchdown is a small undershoot that the
+    stored curvature past the touchdown may be an undershoot, which the
     final projection zeroes.
 
     Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
@@ -274,18 +274,19 @@ def _auto_starred(param: ModelParameter) -> SolutionProfile:
     """Searched starred profile on a step chosen by halving from ``_AUTO_START``.
 
     Stops at the first pair of successive steps whose searches land on
-    the same boundary with f''(0) within ``_AUTO_BUDGET`` and returns the
-    finer one; at ``_AUTO_FLOOR`` it returns that level whatever the
-    agreement.
+    the same boundary with f''(0) within ``_AUTO_BUDGET`` of
+    max(1, f''(0)) and returns the finer one; at ``_AUTO_FLOOR`` it
+    returns that level whatever the agreement.
     """
     step = _AUTO_START
     fine = find_truncated_boundary(param, step)
     while step > _AUTO_FLOOR:
         coarse, step = fine, step / 2.0
         fine = find_truncated_boundary(param, step)
+        skin = _wall_curvature(param, fine)
         if (
             fine.abscissae[-1] == coarse.abscissae[-1]
-            and abs(_wall_curvature(param, fine) - _wall_curvature(param, coarse)) <= _AUTO_BUDGET
+            and abs(skin - _wall_curvature(param, coarse)) <= _AUTO_BUDGET * max(1.0, skin)
         ):
             break
     return fine
@@ -323,9 +324,10 @@ def solve(
     starred profile the boundary search :func:`find_truncated_boundary`
     integrated.  With no ``step`` and P <= 1 it also picks the step: it
     searches at 0.05 and halves until two successive steps land on the
-    same boundary with f''(0) within 1e-12, down to 0.05/2**6, and keeps
-    the finer profile.  The boundary must be an integer multiple of the
-    step, else :class:`GridSpec` raises ``ValueError``.
+    same boundary with f''(0) within 1e-12 of max(1, f''(0)), down to
+    0.05/2**6, and keeps the finer profile.  The boundary must be an
+    integer multiple of the step, else :class:`GridSpec` raises
+    ``ValueError``.
     """
     h = _DEFAULT_STEP if step is None else float(step)
     if eta_inf != "auto":

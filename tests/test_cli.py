@@ -58,8 +58,9 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "argv, step",
         [(["--p", "1", "--eta-inf", "auto"], "0.025"), (["--p", "1", "--step", "0.001"], "0.001"),
-         (["--p", "1.5", "--eta-inf", "auto"], "0.001")],
-        ids=["auto-chosen", "explicit", "shear-thickening-auto"],
+         (["--p", "1.5", "--eta-inf", "auto"], "0.001"), (["--p", "1.84375", "--step", "0.01"], "0.01")],
+        # at step 0.01 a stage undershoots the P = 1.84375 touchdown by 0.019
+        ids=["auto-chosen", "explicit", "shear-thickening-auto", "deep-touchdown-overshoot"],
     )
     def test_reports_the_step(self, capsys, argv, step):
         code, out, _ = run(capsys, "solve", *argv)
@@ -91,7 +92,7 @@ class TestSolveCommand:
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_auto_csv_export_golden(self, tmp_path, capsys):
-        # E = 20 at P = 0.8: the searched profile joins segments at eta* = 5
+        # E = 20 at P = 0.8: the search's march passes its stops at eta* = 5
         # and 10; the hashes are those of one integration from the wall
         prefix = tmp_path / "prof"
         argv = ["solve", "--p", "0.8", "--step", "0.01", "--eta-inf", "auto", "--out", str(prefix)]

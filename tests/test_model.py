@@ -90,13 +90,12 @@ class TestRhs:
         assert out == (df, d2f, -f * d2f / 2.0)
 
     def test_touchdown_window_above_newtonian(self):
-        # for P > 1 stage states may undershoot the touchdown, so the
-        # closure clamps in the wider touchdown window instead of the
-        # rounding window that rejects -1e-11 at P = 0.3
-        out = rhs(make_parameter(1.5), (1.0, 0.5, -1e-6))
-        assert out[1] == 0.0 and out[2] == 0.0
-        with pytest.raises(CurvatureError, match="negative curvature"):
-            rhs(make_parameter(1.5), (1.0, 0.5, -0.1))
+        # for P > 1 the curvature falls monotonically to zero and stays
+        # there, so every negative stage curvature is touchdown overshoot
+        # and is clamped, where the rounding window rejects -1e-11 at P = 0.3
+        for d2f in (-1e-6, -0.1, -1e300, -math.inf):
+            out = rhs(make_parameter(1.5), (1.0, 0.5, d2f))
+            assert out[1] == 0.0 and out[2] == 0.0
 
     @given(
         p=st.floats(min_value=0.05, max_value=1.9).filter(lambda p: abs(p - 0.5) > 0.05),
@@ -130,8 +129,13 @@ class TestProjectCurvature:
         # -0.0 is not an undershoot and keeps its sign bit
         assert math.copysign(1.0, values[1, 2]) == -1.0
         values[-1, 2] = below
-        with pytest.raises(CurvatureError, match="sign loss at row 2"):
+        if p > 1.0:
+            # every P > 1 undershoot is the touchdown, however deep
             project_curvature(param, values)
+            assert values[-1, 2] == 0.0
+        else:
+            with pytest.raises(CurvatureError, match="sign loss at row 2"):
+                project_curvature(param, values)
 
 
 class TestPohlhausen:

@@ -35,11 +35,14 @@ class TestShoot:
         assert shoot(make_parameter(1.0), 0.1, BENCH_GRID) < 0.0
 
     def test_residual_monotone_in_guess(self):
-        # monotonicity is what makes bracketing sound; coarse grid suffices
-        param = make_parameter(0.8)
-        grid = GridSpec(0.01, 10.0)
-        residuals = [shoot(param, g, grid) for g in np.linspace(0.1, 1.0, 10)]
-        assert all(b > a for a, b in zip(residuals, residuals[1:]))
+        # monotonicity is what makes bracketing sound; coarse grid suffices,
+        # and above P = 1 it holds across guesses whose stages undershoot
+        # the touchdown deeply
+        cases = [(0.8, GridSpec(0.01, 10.0), np.linspace(0.1, 1.0, 10))]
+        cases += [(p, GridSpec(0.02, 10.0), np.geomspace(0.01, 10.0, 31)) for p in (1.5, 1.8, 1.99)]
+        for p, grid, guesses in cases:
+            residuals = [shoot(make_parameter(p), g, grid) for g in guesses]
+            assert all(b > a for a, b in zip(residuals, residuals[1:]))
 
     def test_rejects_nonpositive_guess(self):
         with pytest.raises(ValueError, match="positive"):
@@ -149,6 +152,14 @@ class TestSolveByShooting:
             solve_by_shooting(make_parameter(0.3), config)
         assert err.value.guess == 1e300
 
+    @pytest.mark.parametrize("p", [1.8, 1.99])
+    def test_wide_bracket_above_newtonian(self, p):
+        # a guess of 10 undershoots the touchdown by more than 1e-2 within
+        # a stage; that is overshoot of the touchdown, not sign loss
+        config = ShootingConfig(0.01, 10.0, grid=GridSpec(0.005, 10.0))
+        root = solve_by_shooting(make_parameter(p), config)
+        assert abs(shoot(make_parameter(p), root, config.grid)) < config.residual_tol
+
     def test_curvature_sign_loss_reports_guess(self):
         # a guess so large that the first step overshoots into negative
         # curvature is a diverged shot too, not a bare CurvatureError
@@ -188,12 +199,14 @@ class TestTwoLevelRootFinder:
         assert 1 <= len(grids) - len(coarse) <= 3
         assert coarse and all(g.endpoint == config.grid.endpoint and g.step > 0.01 for g in coarse)
 
-    def test_shear_thickening_shoots_on_caller_grid_only(self, solve_cached, monkeypatch):
-        result = solve_cached(1.5)
+    @pytest.mark.parametrize("p", [1.5, 1.9])
+    def test_shear_thickening_finds_root_on_coarse_grid(self, solve_cached, monkeypatch, p):
+        result = solve_cached(p)
         config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
-        solve_by_shooting(result.param, config)
-        assert grids and all(g == config.grid for g in grids)
+        root = solve_by_shooting(result.param, config)
+        assert any(g != config.grid for g in grids)
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
     def test_budget_counts_shots_on_both_grids(self, monkeypatch):
         config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.01, 10.0), residual_tol=1e-10)
@@ -221,6 +234,15 @@ class TestTwoLevelRootFinder:
         monkeypatch.setattr(shooting, "_MAX_ITERATIONS", len(grids) - 1)
         with pytest.raises(ConvergenceError, match="no convergence"):
             solve_by_shooting(result.param, config)
+
+    def test_caller_grid_root_outside_the_last_coarse_bracket(self, solve_cached, monkeypatch):
+        # on a coarse step of 0.25 at P = 0.6 the caller-grid root lies
+        # beyond the last coarse bracket; the loop goes on in the first
+        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        result = solve_cached(0.6)
+        config = ShootingConfig(0.01, 10.0, grid=matched_grid(result, target_step=0.01), residual_tol=1e-13)
+        root = solve_by_shooting(result.param, config)
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
     def test_grid_coarser_than_search_grid_used_directly(self, monkeypatch):
         config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.05, 10.0), residual_tol=1e-10)
