@@ -36,12 +36,16 @@ __all__ = [
     "make_parameter",
     "pohlhausen_skin_friction",
     "reference_table",
-    "CURVATURE_NOISE",
 ]
 
 #: For P <= 1 curvature below -noise is an error; within [-noise, 0) it
 #: is rounding debris near the asymptote and is treated as exactly zero.
 CURVATURE_NOISE = 1e-12
+
+#: Indices with |2P - 1| below this are rejected as singular: rounding
+#: in 1/(1 - delta) and 2 delta - 1 costs f''(0) a relative error that
+#: grows as 1/|2P - 1| there, and below 3e-10 at the edge.
+_SINGULAR_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,15 +106,16 @@ def _validate_index(p: float) -> float:
 def make_parameter(p: float) -> ModelParameter:
     """Validate the power-law index and attach its scaling exponent.
 
-    Accepted domain: 0 < p < 2 with p != 0.5.  The exponent
+    Accepted domain: 0 < p < 2 with |2p - 1| >= 1e-6.  The exponent
     delta = (p - 2)/(2p - 1) is singular at p = 0.5 (no scaling group
-    exists there), p = 0 kills the third-derivative term, and the flow
-    is no longer an asymptotic laminar state for p >= 2; each exclusion
-    raises :class:`DomainError` with its own message.
+    exists there) and loses digits next to it, p = 0 kills the
+    third-derivative term, and the flow is no longer an asymptotic
+    laminar state for p >= 2; each exclusion raises
+    :class:`DomainError` with its own message.
     """
     p = _validate_index(p)
-    if p == 0.5:
-        raise DomainError(f"singular scaling exponent at P={p:g}")
+    if abs(2.0 * p - 1.0) < _SINGULAR_BAND:
+        raise DomainError(f"singular scaling exponent at P={p!r} (|2P - 1| < {_SINGULAR_BAND:g})")
     return ModelParameter(p=p, delta=(p - 2.0) / (2.0 * p - 1.0))
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BlowUpError, BracketError, ConvergenceError, CurvatureError, ShotDivergedError
 from .model import ModelParameter
 from .runge_kutta import GridSpec, integrate
@@ -70,7 +72,7 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     if not 0.0 < guess < math.inf:
         raise ValueError(f"curvature guess must be positive and finite, got {guess!r}")
     try:
-        states = _march(param, grid.step, (grid.step_count,), (0.0, 0.0, float(guess)), integrate)
+        states = _march(param, grid.step, grid.step_count, np.array([(0.0, 0.0, float(guess))]), integrate)
     except (BlowUpError, CurvatureError) as exc:
         raise ShotDivergedError(float(guess), exc) from exc
     except OverflowError as exc:

@@ -23,19 +23,19 @@ slope transforms with lam**(1-delta) and must land on 1) forces
 1/(1 - delta).  The sign matters -- at P = 1 the alternative 1/(delta-1)
 would yield f''(0) ~ 3.01 instead of 0.332057336215.
 
-Every integration goes through ``_march``, one march from the wall
-that steps in calls of ``_CHUNK`` steps up to a stop row.  For P > 1
-it stops stepping after the call that reaches the touchdown: past it
-f' is constant and f linear, and the rows left are the stepping loop's
-constant-derivative rows, which numpy produces with the bits stepping
-would give.
+Every integration goes through ``_march``, which extends the rows
+marched from the wall to one stop row in calls of ``_CHUNK`` steps,
+with the bits of one call from the wall.  For P > 1 it stops stepping
+after the call that reaches the touchdown: past it f' is constant and
+f linear, and the rows left are the stepping loop's constant-derivative
+rows, which numpy produces with the bits stepping would give.
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
-the candidates 5, 10, 20, ... are the stops of one march, which ends
-at the first whose wall shear has decayed.  When the caller gives no
-step and P <= 1, the trial also picks the step: it starts at 0.05 and
-halves until f''(0) holds still to 1e-12 of max(1, f''(0)).  An
-explicit step and every fixed boundary keep the caller's grid (by
+the search extends one march candidate by candidate, 5, 10, 20, ...,
+and accepts the first whose wall shear has decayed.  When the caller
+gives no step and P <= 1, the trial also picks the step: it starts at
+0.05 and halves until f''(0) holds still to 1e-12 of max(1, f''(0)).
+An explicit step and every fixed boundary keep the caller's grid (by
 default the benchmark step 1e-3) bit for bit.
 """
 
@@ -156,48 +156,43 @@ _SEARCH_TOL = 1e-8
 _DOUBLING_CAP = 10
 
 
-def _march(param: ModelParameter, step: float, stops, y0, integrate) -> np.ndarray:
-    """The states one CV8 ``integrate`` call stores from ``y0`` up to a stop row, bit for bit.
+def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray, integrate) -> np.ndarray:
+    """``states`` extended to row ``stop``: bit for bit the rows of one CV8 ``integrate`` call from ``states[0]``.
 
-    ``stops`` yields increasing row numbers and is read one at a time.
-    The march ends at the first stop whose stored f'' is below
-    ``_SEARCH_TOL`` (the boundary search's acceptance; the test is
-    signed, so a P > 1 touchdown overshoot passes), or at the last stop.
-    It works in blocks of ``_CHUNK`` steps; a remainder under the ten
-    steps a GridSpec needs joins the block that reaches the stop.  A
-    block that ends on a stored f'' the model clamps (any f'' <= 0 at
-    P > 1: the touchdown, however deep the overshoot) ends the
-    stepping: from that state on every stage derivative is its ``rhs``,
-    (f', 0, -0), so every later block is the loop's constant-derivative
-    rows, one numpy pass each.  A blow-up past the first block is raised
-    again by one call from ``y0`` to the stop being marched to, so it
-    reports the time that call reports.  ``integrate`` is the caller's
-    own name for :func:`runge_kutta.integrate`, so each solver's calls
-    go through its module.
+    ``states`` holds the rows already marched from the wall, at least
+    one.  The march works in blocks of ``_CHUNK`` steps; a remainder
+    under the ten steps a GridSpec needs joins the block that reaches
+    the stop.  A block that ends on a stored f'' the model clamps (any
+    f'' <= 0 at P > 1: the touchdown, however deep the overshoot) ends
+    the stepping: from that state on every stage derivative is its
+    ``rhs``, (f', 0, -0), so every later block is the loop's
+    constant-derivative rows, one numpy pass each; a march resumed
+    from such a row steps its first block, which gives the same bits.
+    A blow-up past row 0 is raised again by one call from ``states[0]``
+    to the stop, so it reports the time that call reports.
+    ``integrate`` is the caller's own name for
+    :func:`runge_kutta.integrate`, so each solver's calls go through
+    its module.
     """
     rhs, window = model.ivp_rhs(param), model._clamp_window(param)
-    blocks = [np.array([y0], dtype=float)]
-    done, k = 0, None
+    blocks, done, k = [states], len(states) - 1, None
     try:
-        for stop in stops:
-            # even a first stop at row 0 makes one block, for GridSpec to reject
-            while done < stop or not done:
-                m = stop - done if stop - done < _CHUNK + 10 else _CHUNK
-                if k is None:
-                    rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, m * step), blocks[-1][-1])[1]
-                    if window <= rows[-1, 2] <= 0.0:
-                        k = rhs((done + m) * step, rows[-1].tolist())
-                else:
-                    rows = np.empty((m + 1, 3))
-                    rows[0] = blocks[-1][-1]
-                    _constant_rows(COOPER_VERNER_8, step, k, rows)
-                blocks.append(rows[1:])
-                done += m
-            if blocks[-1][-1, 2] < _SEARCH_TOL:
-                break
+        # even a stop at row 0 makes one block, for GridSpec to reject
+        while done < stop or not done:
+            m = stop - done if stop - done < _CHUNK + 10 else _CHUNK
+            if k is None:
+                rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, m * step), blocks[-1][-1])[1]
+                if window <= rows[-1, 2] <= 0.0:
+                    k = rhs((done + m) * step, rows[-1].tolist())
+            else:
+                rows = np.empty((m + 1, 3))
+                rows[0] = blocks[-1][-1]
+                _constant_rows(COOPER_VERNER_8, step, k, rows)
+            blocks.append(rows[1:])
+            done += m
     except BlowUpError:
         if done:
-            integrate(rhs, COOPER_VERNER_8, GridSpec(step, stop * step), y0)
+            integrate(rhs, COOPER_VERNER_8, GridSpec(step, stop * step), states[0])
         raise
     return np.concatenate(blocks)
 
@@ -210,7 +205,7 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     overshoot to zero) and, for a converged boundary, a slope plateau
     near the endpoint.
     """
-    states = _march(param, grid.step, (grid.step_count,), (0.0, 0.0, 1.0), integrate)
+    states = _march(param, grid.step, grid.step_count, np.array([(0.0, 0.0, 1.0)]), integrate)
     values = model.project_curvature(param, states)
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=values)
 
@@ -221,36 +216,30 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     Operationalizes truncation "found by trial": the wall-shear decay
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
     the Newtonian case E lands on the benchmark boundary 10).  The
-    candidates are stops of one march from the wall, at rows
-    round(E / step), so the profile equals :func:`integrate_starred` on
-    ``GridSpec(step, E)`` bit for bit, a step that does not divide 5
-    still lands on the later candidates, and a blow-up reports its time
-    from the wall.  The test is signed, f*''(E) < 1e-8: for P > 1 the
-    stored curvature past the touchdown may be an undershoot, which the
-    final projection zeroes.
+    search extends one march from the wall candidate by candidate, to
+    rows round(E / step), so the profile equals
+    :func:`integrate_starred` on ``GridSpec(step, E)`` bit for bit, a
+    step that does not divide 5 still lands on the later candidates,
+    and a blow-up reports its time from the wall.  The test is signed,
+    f*''(E) < 1e-8: for P > 1 the stored curvature past the touchdown
+    may be an undershoot, which the final projection zeroes.
 
     Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
     multiple of the step or a candidate reached spans more than
     ``MAX_STEP_COUNT`` steps, and :class:`NoPlateauError` once the
     doubling cap (2**10 * 5) is exhausted.
     """
-    endpoints = []
-
-    def stops():
-        for j in range(_DOUBLING_CAP + 1):
-            endpoints.append(_SEARCH_START * 2.0**j)
-            ratio = endpoints[-1] / step
-            if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
-                raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
-            yield round(ratio)
-
-    states = _march(param, step, stops(), (0.0, 0.0, 1.0), integrate)
-    if not states[-1, 2] < _SEARCH_TOL:
-        raise NoPlateauError(
-            f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoints[-1]:g} (P={param.p:g})"
-        )
-    eta = GridSpec(step, endpoints[-1]).abscissae()
-    return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))
+    states = np.array([(0.0, 0.0, 1.0)])
+    for j in range(_DOUBLING_CAP + 1):
+        endpoint = _SEARCH_START * 2.0**j
+        ratio = endpoint / step
+        if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
+            raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
+        states = _march(param, step, round(ratio), states, integrate)
+        if states[-1, 2] < _SEARCH_TOL:
+            eta = GridSpec(step, endpoint).abscissae()
+            return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))
+    raise NoPlateauError(f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint:g} (P={param.p:g})")
 
 
 def recover_lambda(param: ModelParameter, starred_slope: float) -> float:

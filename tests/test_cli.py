@@ -45,6 +45,12 @@ class TestSolveCommand:
         assert code == 2
         assert "singular scaling exponent at P=0.5" in err
 
+    def test_index_one_ulp_from_singular_exits_with_domain_status(self, capsys):
+        # lam rounds to 1 here, which printed skin friction 1 for 0.3317
+        code, out, err = run(capsys, "solve", "--p", "0.5000000000000001")
+        assert (code, out) == (2, "")
+        assert "singular scaling exponent at P=0.5000000000000001" in err
+
     def test_outside_laminar_range(self, capsys):
         code, _, err = run(capsys, "solve", "--p", "2.5")
         assert code == 2
@@ -187,6 +193,11 @@ class TestTableCommand:
         assert code == 2
         assert "failed" in out
         assert "singular scaling exponent" in out
+
+    def test_row_one_ulp_from_singular_marked_failed(self, capsys):
+        code, out, _ = run(capsys, "table", "--p-list", "0.5000000000000001")
+        assert code == 2
+        assert "failed: singular scaling exponent at P=0.5000000000000001" in out
 
     def test_known_discrepant_row_sets_tolerance_status(self, capsys):
         # the published 0.398432 at P = 1.5 is not reproducible from the

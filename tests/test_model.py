@@ -13,7 +13,7 @@ from powerlaw_blasius import (
     pohlhausen_skin_friction,
     reference_table,
 )
-from powerlaw_blasius.model import ivp_rhs, project_curvature
+from powerlaw_blasius.model import _SINGULAR_BAND, ivp_rhs, project_curvature
 
 
 def rhs(param, y):
@@ -21,7 +21,7 @@ def rhs(param, y):
     return ivp_rhs(param)(0.0, y)
 
 
-valid_index = st.floats(min_value=1e-4, max_value=1.9999).filter(lambda p: abs(p - 0.5) > 1e-9)
+valid_index = st.floats(min_value=1e-4, max_value=1.9999).filter(lambda p: abs(2.0 * p - 1.0) >= _SINGULAR_BAND)
 
 
 class TestMakeParameter:
@@ -37,6 +37,14 @@ class TestMakeParameter:
         (0.0, "nonpositive index"),
         (-1.0, "nonpositive index"),
         (0.5, "singular scaling exponent at P=0.5"),
+        # next to 0.5, lam = s**(1/(1 - delta)) puts f''(0) off by 2
+        # relative one ulp away and still by 1.4e-6 at 1e-10
+        (math.nextafter(0.5, 1.0), "singular scaling exponent at P=0.5000000000000001"),
+        (math.nextafter(0.5, 0.0), "singular scaling exponent at P=0.49999999999999994"),
+        (0.5 + 1e-12, "singular scaling exponent at P=0.500000000001"),
+        (0.5 - 1e-12, "singular scaling exponent at P=0.499999999999"),
+        (0.5 + 1e-10, "singular scaling exponent at P=0.5000000001"),
+        (0.5 - 1e-10, "singular scaling exponent at P=0.4999999999"),
         (2.0, "outside laminar range"),
         (2.5, "outside laminar range"),
         (float("nan"), "nonpositive index"),

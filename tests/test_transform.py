@@ -92,6 +92,11 @@ def _one_call(param, grid):
     return model.project_curvature(param, states)
 
 
+def _one_call_rows(param, step, stop):
+    """Unprojected starred rows of one ``integrate`` call from the wall to row ``stop``."""
+    return integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
+
+
 class TestMarch:
     @pytest.mark.parametrize("step", [1e-3, 0.01])
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0, 1.1, 1.5, 1.7573, 1.7765, 1.84375, 1.9, 1.99])
@@ -123,6 +128,33 @@ class TestMarch:
         monkeypatch.setattr(transform, "integrate", counting)
         integrate_starred(param, grid)
         assert 0 < touchdown <= sum(steps) < touchdown + transform._CHUNK
+
+    @pytest.mark.parametrize("step", [1e-3, 0.01])
+    @pytest.mark.parametrize("p", [0.8, 1.5])
+    @pytest.mark.parametrize("eta", [3.0, 5.12, 5.0], ids=["mid-block", "block-edge", "past-touchdown"])
+    def test_resumes_with_the_bits_of_one_call(self, p, step, eta):
+        # the march extends rows[:r + 1] to the stop as one call from the
+        # wall stores them; r = 5.12 / step ends a 512-step block, and at
+        # P = 1.5 r = 5 / step lies past the touchdown (eta* ~ 3.68), a
+        # frozen row the search never resumes from
+        param, stop, r = make_parameter(p), round(10.0 / step), round(eta / step)
+        rows = _one_call_rows(param, step, stop)
+        assert eta != 5.12 or r % transform._CHUNK == 0
+        assert p != 1.5 or eta != 5.0 or rows[r, 2] <= 0.0
+        resumed = transform._march(param, step, stop, rows[: r + 1].copy(), integrate)
+        assert resumed.tobytes() == rows.tobytes()
+
+    def test_blow_up_in_the_resumed_part_reports_the_one_call_time(self, monkeypatch):
+        # rows up to eta = 5 stay inside the limit; the state leaves it at 7.72
+        monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
+        param = make_parameter(0.3)
+        with pytest.raises(BlowUpError) as whole:
+            integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0))
+        rows = _one_call_rows(param, 0.01, 500)
+        with pytest.raises(BlowUpError) as err:
+            transform._march(param, 0.01, 1000, rows, integrate)
+        assert whole.value.t == pytest.approx(7.72)
+        assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
 
 
 class TestSolutionProfileValidation:
@@ -466,7 +498,7 @@ class TestSolve:
         assert a.skin_friction == b.skin_friction
         assert np.array_equal(a.physical.values, b.physical.values)
 
-    @given(p=st.floats(min_value=1e-4, max_value=1.99).filter(lambda p: p != 0.5))
+    @given(p=st.floats(min_value=1e-4, max_value=1.99).filter(lambda p: abs(2.0 * p - 1.0) >= model._SINGULAR_BAND))
     @settings(max_examples=40, deadline=None)
     def test_transform_properties(self, p):
         # f''(0) s^(3/(P+1)) = 1 loses digits near P = 0.5, where the
@@ -479,6 +511,13 @@ class TestSolve:
         assert a.skin_friction == b.skin_friction
         assert a.starred.values.tobytes() == b.starred.values.tobytes()
         assert a.physical.values.tobytes() == b.physical.values.tobytes()
+
+    @pytest.mark.parametrize("p", [0.4999, 0.5001])
+    def test_solves_next_to_the_singular_band(self, p):
+        result = solve(make_parameter(p), step=0.01)
+        cross_check = mpmath.mpf(result.starred_slope_at_infinity) ** (-3 / (mpmath.mpf(p) + 1))
+        assert result.skin_friction == pytest.approx(float(cross_check), rel=1e-11)
+        assert abs(result.skin_friction - 0.33175) < 1e-4
 
     def test_wrong_lambda_exponent_not_reproduced(self, solve_cached):
         # the sign of the recovery exponent matters: 1/(delta-1) would give
