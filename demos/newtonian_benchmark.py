@@ -4,7 +4,8 @@ The Newtonian case (power-law index P = 1) is the textbook Blasius
 problem: find f with f''' + f f''/2 = 0, f(0) = f'(0) = 0 and
 f'(inf) = 1.  The catch is the missing initial condition f''(0).
 Instead of shooting for it, integrate once with f''(0) = 1 and rescale:
-the equation is invariant under f -> lam f, eta -> lam**delta eta.
+the equation is invariant under f -> a f, eta -> a**-1 eta at P = 1
+(f -> a**(2P-1) f, eta -> a**(P-2) eta in general).
 """
 
 from powerlaw_blasius import find_truncated_boundary, make_parameter, solve
@@ -24,8 +25,8 @@ print(f"starred slope f*'(eta*_inf) = {result.starred_slope_at_infinity:.12f}")
 print(f"group parameter lambda      = {result.lam:.12f}")
 print(f"wall shear f''(0)           = {result.skin_friction:.12f}")
 
-# Topfer's 1912 rule is the P = 1 special case of the lambda algebra:
-# f''(0) = slope**(-3/2).
+# Topfer's 1912 rule is the P = 1 case of the rescaling
+# f''(0) = slope**(-3/(P+1)): f''(0) = slope**(-3/2).
 topfer = result.starred_slope_at_infinity ** -1.5
 print(f"Topfer's rule               = {topfer:.12f}")
 

@@ -209,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve for one power-law index")
-    sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2 with |2P - 1| >= 1e-6 "
-                    "(the scaling group is singular at P = 0.5)")
+    sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2")
     sp.add_argument("--step", type=_positive_real, default=None, help="grid step (default 1e-3; with --eta-inf "
                     "auto and P <= 1, halved from 0.05 until f''(0) agrees to 1e-12 of max(1, f''(0)))")
     sp.add_argument("--eta-inf", type=_boundary, default=None,

@@ -8,13 +8,15 @@ variables, to the third-order problem
 
 with P the power-law index; P = 1 recovers the classical Blasius
 equation f''' + f f'' / 2 = 0.  The equation and its wall conditions are
-invariant under the one-parameter scaling group
+invariant under the one-parameter stretching group
 
-    f* = lam * f,   eta* = lam**delta * eta,
-    delta = (P - 2) / (2 P - 1),
+    f* = a**(2P - 1) f,   eta* = a**(P - 2) eta,   a > 0,
 
 which is what the non-iterative transformation in
-:mod:`powerlaw_blasius.transform` exploits.
+:mod:`powerlaw_blasius.transform` exploits (at P = 0.5 a pure stretch
+of eta).  Its literature form f* = lam f, eta* = lam**delta eta, with
+lam = a**(2P - 1) and delta = (P - 2)/(2P - 1), is singular at P = 0.5
+and only reported.
 
 This module owns the parameter domain, the ODE right-hand side, the
 closed-form Pohlhausen estimate of the wall shear, and the embedded
@@ -42,15 +44,10 @@ __all__ = [
 #: is rounding debris near the asymptote and is treated as exactly zero.
 CURVATURE_NOISE = 1e-12
 
-#: Indices with |2P - 1| below this are rejected as singular: rounding
-#: in 1/(1 - delta) and 2 delta - 1 costs f''(0) a relative error that
-#: grows as 1/|2P - 1| there, and below 3e-10 at the edge.
-_SINGULAR_BAND = 1e-6
-
 
 @dataclass(frozen=True)
 class ModelParameter:
-    """Validated power-law index with its derived scaling exponent."""
+    """Validated power-law index with its reported scaling exponent delta."""
 
     p: float
     delta: float
@@ -97,26 +94,24 @@ def reference_table() -> tuple[ReferenceRow, ...]:
 def _validate_index(p: float) -> float:
     p = float(p)
     if not p > 0.0:
-        raise DomainError(f"nonpositive index at P={p:g}")
+        raise DomainError(f"{'non-finite' if math.isnan(p) else 'nonpositive'} index at P={p:g}")
     if p >= 2.0:
         raise DomainError(f"outside laminar range at P={p:g}")
     return p
 
 
 def make_parameter(p: float) -> ModelParameter:
-    """Validate the power-law index and attach its scaling exponent.
+    """Validate the power-law index and attach its reported exponent delta.
 
-    Accepted domain: 0 < p < 2 with |2p - 1| >= 1e-6.  The exponent
-    delta = (p - 2)/(2p - 1) is singular at p = 0.5 (no scaling group
-    exists there) and loses digits next to it, p = 0 kills the
-    third-derivative term, and the flow is no longer an asymptotic
-    laminar state for p >= 2; each exclusion raises
-    :class:`DomainError` with its own message.
+    Accepted domain: 0 < p < 2, p = 0.5 included.  p = 0 kills the
+    third-derivative term and the flow is no longer an asymptotic
+    laminar state for p >= 2; each exclusion, and a NaN index, raises
+    :class:`DomainError` with its own message.  delta = (p - 2)/(2p - 1)
+    is reported only; at p = 0.5 it is -inf, the IEEE quotient
+    -1.5/+0.0.
     """
     p = _validate_index(p)
-    if abs(2.0 * p - 1.0) < _SINGULAR_BAND:
-        raise DomainError(f"singular scaling exponent at P={p!r} (|2P - 1| < {_SINGULAR_BAND:g})")
-    return ModelParameter(p=p, delta=(p - 2.0) / (2.0 * p - 1.0))
+    return ModelParameter(p=p, delta=(p - 2.0) / (2.0 * p - 1.0) if p != 0.5 else -math.inf)
 
 
 def _clamp_window(param: ModelParameter) -> float:

@@ -6,22 +6,20 @@ missing wall curvature:
 1. integrate the same ODE as an initial-value problem in *starred*
    variables with f*(0) = f*'(0) = 0 and f*''(0) = 1 up to a truncated
    boundary eta*_inf;
-2. read off the asymptotic slope s = f*'(eta*_inf) and recover the
-   group parameter lam = s**(1/(1 - delta)), chosen so that the
-   rescaled far-field slope is exactly one;
-3. the missing wall curvature is f''(0) = lam**(2*delta - 1), and the
-   full physical profile follows from the pointwise group action
+2. read off the asymptotic slope s = f*'(eta*_inf); the group element
+   a = s**(1/(P+1)) of :mod:`powerlaw_blasius.model` maps it onto the
+   physical far-field slope one;
+3. the missing wall curvature is f''(0) = s**(-3/(P+1)), and the full
+   physical profile follows from the pointwise group action
 
-       eta = lam**(-delta) eta*,   f   = lam**(-1)     f*,
-       f'  = lam**(delta-1) f*',   f'' = lam**(2*delta-1) f*''.
+       eta = s**((2-P)/(P+1)) eta*,   f   = s**((1-2P)/(P+1)) f*,
+       f'  = f*' / s,                 f'' = s**(-3/(P+1)) f*''.
 
-Eliminating lam gives the cross-check f''(0) = s**(-3/(P+1)), which at
-P = 1 is Topfer's classical rule f''(0) = s**(-3/2).
-
-Note the exponent in step 2: deriving it from the group action (the
-slope transforms with lam**(1-delta) and must land on 1) forces
-1/(1 - delta).  The sign matters -- at P = 1 the alternative 1/(delta-1)
-would yield f''(0) ~ 3.01 instead of 0.332057336215.
+Every exponent is smooth on 0 < P < 2: P = 0.5 is the pure stretch
+eta = s eta*, and P = 1 gives Topfer's rule f''(0) = s**(-3/2).  The
+literature's lam = s**((2P-1)/(P+1)) = s**(1/(1 - delta)) is only
+reported; at P = 1 the sign-flipped 1/(delta - 1) would give f''(0)
+~ 3.01 instead of 0.332057336215.
 
 Every integration goes through ``_march``, which extends the rows
 marched from the wall to one stop row in calls of ``_CHUNK`` steps,
@@ -116,7 +114,7 @@ class SolutionProfile:
 class TransformResult:
     """Everything one non-iterative solve produces.
 
-    ``lam`` is the scaling-group parameter, ``skin_friction`` the
+    ``lam`` is the reported group parameter, ``skin_friction`` the
     recovered missing initial condition f''(0), and the two profiles are
     the starred run and its physical rescaling.  ``truncated_boundary``
     is the starred endpoint actually used.
@@ -218,45 +216,50 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     the Newtonian case E lands on the benchmark boundary 10).  The
     search extends one march from the wall candidate by candidate, to
     rows round(E / step), so the profile equals
-    :func:`integrate_starred` on ``GridSpec(step, E)`` bit for bit, a
-    step that does not divide 5 still lands on the later candidates,
-    and a blow-up reports its time from the wall.  The test is signed,
+    :func:`integrate_starred` on ``GridSpec(step, E)`` bit for bit and
+    a blow-up reports its time from the wall.  Only a candidate the step
+    divides (GridSpec's 1e-12 rule) is tested, so a step that does not
+    divide 5 lands on the later candidates.  The test is signed,
     f*''(E) < 1e-8: for P > 1 the stored curvature past the touchdown
     may be an undershoot, which the final projection zeroes.
 
-    Raises ``ValueError`` when 5 spans fewer than ten steps, E is not a
-    multiple of the step or a candidate reached spans more than
-    ``MAX_STEP_COUNT`` steps, and :class:`NoPlateauError` once the
-    doubling cap (2**10 * 5) is exhausted.
+    Raises ``ValueError`` before marching when the step divides no
+    candidate, and when 5 spans fewer than ten steps or a candidate reached
+    spans more than ``MAX_STEP_COUNT`` steps; :class:`NoPlateauError`
+    once the doubling cap (2**10 * 5) is exhausted.
     """
+    ends = [_SEARCH_START * 2.0**j for j in range(_DOUBLING_CAP + 1)]
+    # a candidate past the step cap counts as a fit: reaching it raises below
+    fits = [E / step > MAX_STEP_COUNT or abs(round(E / step) * step - E) <= 1e-12 * E for E in ends]
+    if not any(fits):
+        raise ValueError(f"step {step!r} divides none of the candidates 5 to {ends[-1]:g}")
     states = np.array([(0.0, 0.0, 1.0)])
-    for j in range(_DOUBLING_CAP + 1):
-        endpoint = _SEARCH_START * 2.0**j
+    for endpoint, fit in zip(ends, fits):
         ratio = endpoint / step
         if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
             raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
         states = _march(param, step, round(ratio), states, integrate)
-        if states[-1, 2] < _SEARCH_TOL:
+        if fit and states[-1, 2] < _SEARCH_TOL:
             eta = GridSpec(step, endpoint).abscissae()
             return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))
     raise NoPlateauError(f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint:g} (P={param.p:g})")
 
 
 def recover_lambda(param: ModelParameter, starred_slope: float) -> float:
-    """Group parameter from the starred asymptotic slope.
+    """The reported group parameter lam = slope**((2P-1)/(P+1)), 1 at P = 0.5.
 
-    lam = slope**(1/(1-delta)) = slope**((2P-1)/(P+1)); this is the
-    unique scaling that maps the starred far-field slope onto the
-    physical boundary condition f'(inf) = 1.
+    lam = slope**(1/(1-delta)) is the literature's scaling f = f*/lam
+    that maps the starred far-field slope onto the physical boundary
+    condition f'(inf) = 1; the solve itself rescales by the slope.
     """
     if not 0.0 < starred_slope < math.inf:
         raise ValueError(f"starred slope must be positive and finite, got {starred_slope!r}")
-    return starred_slope ** (1.0 / (1.0 - param.delta))
+    return starred_slope ** ((2.0 * param.p - 1.0) / (param.p + 1.0))
 
 
 def _wall_curvature(param: ModelParameter, starred: SolutionProfile) -> float:
-    """f''(0) = lam**(2*delta - 1) recovered from a starred profile's final slope."""
-    return recover_lambda(param, float(starred.df[-1])) ** (2.0 * param.delta - 1.0)
+    """f''(0) = s**(-3/(P+1)) from a starred profile's final slope s."""
+    return float(starred.df[-1]) ** (-3.0 / (param.p + 1.0))
 
 
 def _auto_starred(param: ModelParameter) -> SolutionProfile:
@@ -281,24 +284,26 @@ def _auto_starred(param: ModelParameter) -> SolutionProfile:
     return fine
 
 
-def rescale_profile(starred: SolutionProfile, param: ModelParameter, lam: float) -> SolutionProfile:
-    """Map a starred profile through the group action into physical variables.
+def rescale_profile(starred: SolutionProfile, param: ModelParameter, slope: float) -> SolutionProfile:
+    """Map a starred profile through the group action that takes ``slope`` to one.
 
-    Abscissae scale with lam**(-delta) and the columns (f, f', f'') with
-    lam**(-1), lam**(delta-1), lam**(2*delta-1); lam = 1 is the identity
-    apart from the frame tag.  Uniform spacing is preserved.
+    Abscissae scale with slope**((2-P)/(P+1)) and the columns
+    (f, f', f'') with slope**((1-2P)/(P+1)), 1/slope and
+    slope**(-3/(P+1)); slope = 1 is the identity apart from the frame
+    tag.  Uniform spacing is preserved.
     """
     if starred.frame != "starred":
         raise ValueError("rescale_profile expects a starred-frame profile")
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    d = param.delta
+    if not 0.0 < slope < math.inf:
+        raise ValueError(f"starred slope must be positive and finite, got {slope!r}")
+    p, q = param.p, param.p + 1.0
     try:
         with np.errstate(over="raise"):
-            eta = starred.abscissae * lam**-d
-            values = starred.values * np.array([lam**-1.0, lam ** (d - 1.0), lam ** (2.0 * d - 1.0)])
+            eta = starred.abscissae * slope ** ((2.0 - p) / q)
+            values = starred.values * np.array([slope ** ((1.0 - 2.0 * p) / q), 1.0, slope ** (-3.0 / q)])
+            values[:, 1] /= slope  # f' = f*'/slope, correctly rounded
     except (OverflowError, FloatingPointError):
-        raise ValueError(f"lam = {lam!r} overflows the group action at P={param.p:g}") from None
+        raise ValueError(f"slope = {slope!r} overflows the group action at P={p:g}") from None
     return SolutionProfile(frame="physical", abscissae=eta, values=values)
 
 
@@ -326,15 +331,12 @@ def solve(
     else:
         starred = find_truncated_boundary(param, h)
     slope = float(starred.df[-1])
-    lam = recover_lambda(param, slope)
-    skin = lam ** (2.0 * param.delta - 1.0)
-    physical = rescale_profile(starred, param, lam)
     return TransformResult(
         param=param,
         truncated_boundary=float(starred.abscissae[-1]),
         starred_slope_at_infinity=slope,
-        lam=lam,
-        skin_friction=skin,
+        lam=recover_lambda(param, slope),
+        skin_friction=_wall_curvature(param, starred),
         starred=starred,
-        physical=physical,
+        physical=rescale_profile(starred, param, slope),
     )

@@ -40,16 +40,22 @@ class TestSolveCommand:
         assert code == 0
         assert "0.332057336" in out
 
-    def test_singular_index_exits_with_domain_status(self, capsys):
-        code, _, err = run(capsys, "solve", "--p", "0.5")
-        assert code == 2
-        assert "singular scaling exponent at P=0.5" in err
+    def test_half_index_solves(self, capsys):
+        # the group is a pure stretch at P = 0.5: lam = 1
+        code, out, _ = run(capsys, "solve", "--p", "0.5")
+        assert code == 0
+        assert "skin friction   = 0.331746097\n" in out
+        assert "lambda          = 1\n" in out
 
-    def test_index_one_ulp_from_singular_exits_with_domain_status(self, capsys):
-        # lam rounds to 1 here, which printed skin friction 1 for 0.3317
-        code, out, err = run(capsys, "solve", "--p", "0.5000000000000001")
+    def test_index_one_ulp_from_half_solves(self, capsys):
+        code, out, _ = run(capsys, "solve", "--p", "0.5000000000000001")
+        assert code == 0
+        assert "skin friction   = 0.331746097\n" in out
+
+    def test_nan_index_is_non_finite(self, capsys):
+        code, out, err = run(capsys, "solve", "--p", "nan")
         assert (code, out) == (2, "")
-        assert "singular scaling exponent at P=0.5000000000000001" in err
+        assert err == "error: non-finite index at P=nan\n"
 
     def test_outside_laminar_range(self, capsys):
         code, _, err = run(capsys, "solve", "--p", "2.5")
@@ -105,7 +111,7 @@ class TestSolveCommand:
         assert run(capsys, *argv)[0] == 0
         golden = {
             "starred": "191a634dab717d79d89f1f4c01844359d861551b2d194b7fc16a63cab4e15f48",
-            "physical": "bc5d32b948b2b5096b28d1c7743bc9eddb0000b6da4d7c49de7503c93dfc27ec",
+            "physical": "da63df936f8fc2b39193bae8cd3bf76193ce4742004e0d6b7028aa8aa469def2",
         }
         for frame, digest in golden.items():
             data = (tmp_path / f"prof_{frame}.csv").read_bytes()
@@ -188,16 +194,24 @@ class TestTableCommand:
         assert run(capsys, "table", "--p-list", "1")[0] == 0
         assert os.listdir(tmp_path) == []
 
-    def test_singular_row_marked_failed(self, capsys):
+    def test_half_index_row_beside_acrivos(self, capsys):
+        # the table has Acrivos' 0.331200 at P = 0.5 and no transform value
         code, out, _ = run(capsys, "table", "--p-list", "0.5")
-        assert code == 2
-        assert "failed" in out
-        assert "singular scaling exponent" in out
+        assert code == 0
+        row = out.splitlines()[-1]
+        assert row.split("|")[1].strip() == "0.3312"
+        assert row.split("|")[5].strip() == "0.331746097"
+        assert row.endswith("| no reference")
 
-    def test_row_one_ulp_from_singular_marked_failed(self, capsys):
+    def test_row_one_ulp_from_half_solves(self, capsys):
         code, out, _ = run(capsys, "table", "--p-list", "0.5000000000000001")
+        assert code == 0
+        assert "0.331746097" in out and "failed" not in out
+
+    def test_nan_row_is_non_finite(self, capsys):
+        code, out, _ = run(capsys, "table", "--p-list", "1,nan")
         assert code == 2
-        assert "failed: singular scaling exponent at P=0.5000000000000001" in out
+        assert out.splitlines()[-1].endswith("| failed: non-finite index at P=nan")
 
     def test_known_discrepant_row_sets_tolerance_status(self, capsys):
         # the published 0.398432 at P = 1.5 is not reproducible from the
@@ -218,6 +232,11 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--p-list", "2.5")
         assert code == 2
         assert "outside laminar range" in out
+
+    def test_rows_across_half_index(self, capsys):
+        code, out, _ = run(capsys, "validate", "--p-list", "0.49,0.5,0.51")
+        assert code == 0
+        assert out.count(" ok") == 3
 
     def test_two_rows(self, capsys):
         code, out, _ = run(capsys, "validate", "--p-list", "0.3,1.5")

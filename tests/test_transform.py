@@ -4,7 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerlaw_blasius import (
@@ -259,6 +259,30 @@ class TestFindTruncatedBoundary:
             solve(make_parameter(1.0), step=20.0, eta_inf="auto")
 
 
+class TestCandidatesTheStepDivides:
+    """``find_truncated_boundary`` tests only the candidates ``GridSpec`` can end a grid on."""
+
+    @pytest.mark.parametrize("p, boundary", [(1.2, 10.0), (1.5, 10.0), (0.8, 20.0)])
+    def test_step_that_misses_five_lands_on_a_later_candidate(self, p, boundary):
+        # 5 / 0.0032 = 1562.5 steps: the P > 1 touchdown lies before 5, but
+        # the first candidate GridSpec can end a grid on is 10
+        param = make_parameter(p)
+        searched = solve(param, step=0.0032, eta_inf="auto")
+        fixed = solve(param, step=0.0032, eta_inf=boundary)
+        assert searched.truncated_boundary == boundary
+        assert searched.skin_friction == fixed.skin_friction
+        assert searched.starred.values.tobytes() == fixed.starred.values.tobytes()
+        assert searched.physical.values.tobytes() == fixed.physical.values.tobytes()
+
+    @pytest.mark.parametrize("p", [0.8, 1.5])
+    def test_step_that_divides_no_candidate_raises_before_marching(self, p, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transform, "integrate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape("step 0.003 divides none of the candidates 5 to 5120")):
+            solve(make_parameter(p), step=0.003, eta_inf="auto")
+        assert calls == []
+
+
 class TestRecoverLambda:
     def test_newtonian_square_root(self):
         assert recover_lambda(make_parameter(1.0), 4.0) == 2.0
@@ -300,8 +324,9 @@ class TestRescaleProfile:
 
     def test_newtonian_group_action_on_node(self):
         starred = SolutionProfile("starred", [0.0, 1.0], [[0.0, 0.0, 1.0], [2.0, 4.0, 8.0]])
-        physical = rescale_profile(starred, make_parameter(1.0), 2.0)
-        # delta = -1: eta scales by 2, (f, f', f'') by (1/2, 1/4, 1/8)
+        physical = rescale_profile(starred, make_parameter(1.0), 4.0)
+        # slope 4 at P = 1: eta scales by 4**(1/2) = 2, (f, f', f'') by
+        # (4**(-1/2), 1/4, 4**(-3/2)) = (1/2, 1/4, 1/8)
         assert physical.abscissae[1] == 2.0
         assert tuple(physical.values[1]) == (1.0, 1.0, 1.0)
 
@@ -316,20 +341,20 @@ class TestRescaleProfile:
         with pytest.raises(ValueError, match="positive"):
             rescale_profile(starred, make_parameter(0.8), 0.0)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan])
-    def test_rejects_non_finite_lambda(self, lam):
+    @pytest.mark.parametrize("slope", [math.inf, math.nan])
+    def test_rejects_non_finite_lambda(self, slope):
         starred = integrate_starred(make_parameter(1.0), GridSpec(0.05, 10.0))
-        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam!r}"):
-            rescale_profile(starred, make_parameter(1.0), lam)
+        with pytest.raises(ValueError, match=f"starred slope must be positive and finite, got {slope!r}"):
+            rescale_profile(starred, make_parameter(1.0), slope)
 
-    # at P = 1, eta scales by lam and (f, f', f'') by (1/lam, 1/lam**2,
-    # 1/lam**3): 1e-300 overflows a power, 1e308 only the product with eta
-    @pytest.mark.parametrize("lam", [1e-300, 1e308])
+    # at P = 0.5, eta scales by the slope and (f, f', f'') by (1, 1/slope,
+    # slope**-2): 1e-300 overflows a power, 1e308 only the product with eta
+    @pytest.mark.parametrize("slope", [1e-300, 1e308])
     @pytest.mark.filterwarnings("error")
-    def test_overflow_is_its_own_error(self, lam):
-        starred = integrate_starred(make_parameter(1.0), GridSpec(0.05, 10.0))
-        with pytest.raises(ValueError, match=re.escape(f"lam = {lam!r} overflows the group action at P=1")):
-            rescale_profile(starred, make_parameter(1.0), lam)
+    def test_overflow_is_its_own_error(self, slope):
+        starred = integrate_starred(make_parameter(0.5), GridSpec(0.05, 10.0))
+        with pytest.raises(ValueError, match=re.escape(f"slope = {slope!r} overflows the group action at P=0.5")):
+            rescale_profile(starred, make_parameter(0.5), slope)
 
 
 class TestAutoStep:
@@ -498,26 +523,54 @@ class TestSolve:
         assert a.skin_friction == b.skin_friction
         assert np.array_equal(a.physical.values, b.physical.values)
 
-    @given(p=st.floats(min_value=1e-4, max_value=1.99).filter(lambda p: abs(2.0 * p - 1.0) >= model._SINGULAR_BAND))
+    @given(p=st.floats(min_value=1e-4, max_value=1.99))
+    @example(p=0.5)
     @settings(max_examples=40, deadline=None)
     def test_transform_properties(self, p):
-        # f''(0) s^(3/(P+1)) = 1 loses digits near P = 0.5, where the
-        # exponents 1/(1-delta) and 2 delta - 1 blow up, and two solves
-        # agree bit for bit
+        # f''(0) s^(3/(P+1)) = 1 to a few ulp on the whole domain, and
+        # two solves agree bit for bit
         param = make_parameter(p)
         a, b = (solve(param, step=0.01) for _ in range(2))
         product = a.skin_friction * a.starred_slope_at_infinity ** (3.0 / (p + 1.0))
-        assert abs(product - 1.0) <= 1e-12 * max(1.0, abs(2.0 * param.delta - 1.0))
+        assert abs(product - 1.0) <= 1e-15
         assert a.skin_friction == b.skin_friction
         assert a.starred.values.tobytes() == b.starred.values.tobytes()
         assert a.physical.values.tobytes() == b.physical.values.tobytes()
 
+    # the band is the |2P - 1| < 1e-6 that make_parameter rejected while
+    # the rescale went through lam and delta; it is in the domain now
     @pytest.mark.parametrize("p", [0.4999, 0.5001])
     def test_solves_next_to_the_singular_band(self, p):
         result = solve(make_parameter(p), step=0.01)
         cross_check = mpmath.mpf(result.starred_slope_at_infinity) ** (-3 / (mpmath.mpf(p) + 1))
         assert result.skin_friction == pytest.approx(float(cross_check), rel=1e-11)
         assert abs(result.skin_friction - 0.33175) < 1e-4
+
+    def test_wall_curvature_within_two_ulp_of_its_slope(self):
+        # f''(0) against a 40-digit s**(-3/(P+1)) on the same double slope s:
+        # 41 P across [0.49, 0.51], 0.5 and its neighbours down to one ulp,
+        # and 199 P across the domain
+        near = [0.49 + k * 5e-4 for k in range(41)]
+        half = [0.5 + d for d in (1e-6, -1e-6, 1e-10, -1e-10, 1e-12, -1e-12)]
+        half += [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+        sweep = [k / 100 for k in range(1, 200)]
+        with mpmath.workdps(40):
+            for p in near + half + sweep:
+                result = solve(make_parameter(p), step=0.05)
+                exact = mpmath.mpf(result.starred_slope_at_infinity) ** (-3 / (mpmath.mpf(p) + 1))
+                assert abs(result.skin_friction - exact) <= 2 * math.ulp(float(exact)), p
+
+    def test_half_index_is_a_pure_stretch(self):
+        # at P = 0.5, eta = s eta*, f = f*, f' = f*'/s, f'' = f*''/s**2 and lam = 1
+        result = solve(make_parameter(0.5), step=0.01)
+        s = result.starred_slope_at_infinity
+        assert result.lam == 1.0
+        assert np.array_equal(result.physical.abscissae, result.starred.abscissae * s)
+        assert np.array_equal(result.physical.f, result.starred.f)
+        assert np.array_equal(result.physical.df, result.starred.df / s)
+        assert result.physical.df[-1] == 1.0
+        assert result.skin_friction == s**-2.0 == result.physical.d2f[0]
+        assert abs(result.skin_friction - 0.331746097) < 5e-10
 
     def test_wrong_lambda_exponent_not_reproduced(self, solve_cached):
         # the sign of the recovery exponent matters: 1/(delta-1) would give
