@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
     except (BoundaryLayerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    print(f"P               = {args.p:g}")
+    print(f"P               = {args.p!r}")
     print(f"delta           = {result.param.delta:.9g}")
     print(f"eta*_inf        = {result.truncated_boundary:.9g}")
     print(f"step            = {result.starred.spacing:.9g}")
@@ -135,7 +135,7 @@ def _sweep(columns, p_values, row) -> int:
         except (BoundaryLayerError, ValueError) as exc:
             cells = ["-" for width in widths if width] + [f"failed: {exc}"]
             row_status = _EXIT_DOMAIN
-        print(" | ".join([f"{p:>5g}"] + [f"{cell:>{width}}" for cell, width in zip(cells, widths)]))
+        print(" | ".join([f"{p!r:>5}"] + [f"{cell:>{width}}" for cell, width in zip(cells, widths)]))
         status = max(status, row_status)
     return status
 
@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve for one power-law index")
     sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2")
-    sp.add_argument("--step", type=_positive_real, default=None, help="grid step (default 1e-3; with --eta-inf "
-                    "auto and P <= 1, halved from 0.05 until f''(0) agrees to 1e-12 of max(1, f''(0)))")
+    sp.add_argument("--step", type=_positive_real, default=None,
+                    help="grid step (default 1e-3; 0.025 with --eta-inf auto and P <= 1)")
     sp.add_argument("--eta-inf", type=_boundary, default=None,
                     help="starred truncated boundary, a real or 'auto' (default 10)")
     sp.add_argument("--out", default=None, help="path prefix for CSV export of both profiles")

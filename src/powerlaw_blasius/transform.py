@@ -31,10 +31,9 @@ rows, which numpy produces with the bits stepping would give.
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the search extends one march candidate by candidate, 5, 10, 20, ...,
 and accepts the first whose wall shear has decayed.  When the caller
-gives no step and P <= 1, the trial also picks the step: it starts at
-0.05 and halves until f''(0) holds still to 1e-12 of max(1, f''(0)).
-An explicit step and every fixed boundary keep the caller's grid (by
-default the benchmark step 1e-3) bit for bit.
+gives no step, that one search runs at step 0.025 for P <= 1 and at
+the benchmark step 1e-3 for P > 1.  An explicit step and every fixed
+boundary keep the caller's grid (by default 1e-3) bit for bit.
 """
 
 from __future__ import annotations
@@ -130,15 +129,14 @@ class TransformResult:
 
 
 #: Grid step when the caller picks none: the published benchmark step,
-#: for every fixed-boundary solve and for ``eta_inf="auto"`` at P > 1.
+#: for every fixed-boundary solve and for ``eta_inf="auto"`` at P > 1,
+#: where the scheme loses order across the touchdown.
 _DEFAULT_STEP = 1e-3
 
-#: Automatic step of ``eta_inf="auto"`` at P <= 1: the first step, the
-#: f''(0) agreement two successive halvings must reach (of max(1, f''(0))),
-#: and the finest step tried (the first halving below the benchmark step).
-_AUTO_START = 0.05
-_AUTO_BUDGET = 1e-12
-_AUTO_FLOOR = _AUTO_START / 2**6
+#: Step of ``eta_inf="auto"`` at P <= 1 when the caller picks none.  From
+#: P = 0.01 to 1 its f''(0) is within 1e-12 of max(1, f''(0)) of the value
+#: at half the step, far below the truncation error the boundary keeps.
+_AUTO_STEP = 0.025
 
 
 #: Steps per ``integrate`` call of :func:`_march`.  Past the P > 1
@@ -257,33 +255,6 @@ def recover_lambda(param: ModelParameter, starred_slope: float) -> float:
     return starred_slope ** ((2.0 * param.p - 1.0) / (param.p + 1.0))
 
 
-def _wall_curvature(param: ModelParameter, starred: SolutionProfile) -> float:
-    """f''(0) = s**(-3/(P+1)) from a starred profile's final slope s."""
-    return float(starred.df[-1]) ** (-3.0 / (param.p + 1.0))
-
-
-def _auto_starred(param: ModelParameter) -> SolutionProfile:
-    """Searched starred profile on a step chosen by halving from ``_AUTO_START``.
-
-    Stops at the first pair of successive steps whose searches land on
-    the same boundary with f''(0) within ``_AUTO_BUDGET`` of
-    max(1, f''(0)) and returns the finer one; at ``_AUTO_FLOOR`` it
-    returns that level whatever the agreement.
-    """
-    step = _AUTO_START
-    fine = find_truncated_boundary(param, step)
-    while step > _AUTO_FLOOR:
-        coarse, step = fine, step / 2.0
-        fine = find_truncated_boundary(param, step)
-        skin = _wall_curvature(param, fine)
-        if (
-            fine.abscissae[-1] == coarse.abscissae[-1]
-            and abs(skin - _wall_curvature(param, coarse)) <= _AUTO_BUDGET * max(1.0, skin)
-        ):
-            break
-    return fine
-
-
 def rescale_profile(starred: SolutionProfile, param: ModelParameter, slope: float) -> SolutionProfile:
     """Map a starred profile through the group action that takes ``slope`` to one.
 
@@ -312,31 +283,27 @@ def solve(
 ) -> TransformResult:
     """Run the full non-iterative pipeline for one parameter value.
 
-    Two knobs set the starred grid: ``step`` (default 1e-3) and the
-    truncated boundary ``eta_inf`` (default 10.0; with the default step
-    that is the published benchmark grid).  ``eta_inf="auto"`` takes the
-    starred profile the boundary search :func:`find_truncated_boundary`
-    integrated.  With no ``step`` and P <= 1 it also picks the step: it
-    searches at 0.05 and halves until two successive steps land on the
-    same boundary with f''(0) within 1e-12 of max(1, f''(0)), down to
-    0.05/2**6, and keeps the finer profile.  The boundary must be an
-    integer multiple of the step, else :class:`GridSpec` raises
-    ``ValueError``.
+    Two knobs set the starred grid: ``step`` and the truncated boundary
+    ``eta_inf`` (default 10.0; with the default step 1e-3 that is the
+    published benchmark grid).  ``eta_inf="auto"`` takes the starred
+    profile the boundary search :func:`find_truncated_boundary`
+    integrated, in one search; with no ``step`` it searches at 0.025
+    for P <= 1 and at 1e-3 for P > 1.  The boundary must be an integer
+    multiple of the step, else :class:`GridSpec` raises ``ValueError``.
     """
-    h = _DEFAULT_STEP if step is None else float(step)
-    if eta_inf != "auto":
-        starred = integrate_starred(param, GridSpec(h, 10.0 if eta_inf is None else float(eta_inf)))
-    elif step is None and param.p <= 1.0:
-        starred = _auto_starred(param)
+    if step is None:
+        step = _AUTO_STEP if eta_inf == "auto" and param.p <= 1.0 else _DEFAULT_STEP
+    if eta_inf == "auto":
+        starred = find_truncated_boundary(param, float(step))
     else:
-        starred = find_truncated_boundary(param, h)
+        starred = integrate_starred(param, GridSpec(float(step), 10.0 if eta_inf is None else float(eta_inf)))
     slope = float(starred.df[-1])
     return TransformResult(
         param=param,
         truncated_boundary=float(starred.abscissae[-1]),
         starred_slope_at_infinity=slope,
         lam=recover_lambda(param, slope),
-        skin_friction=_wall_curvature(param, starred),
+        skin_friction=slope ** (-3.0 / (param.p + 1.0)),
         starred=starred,
         physical=rescale_profile(starred, param, slope),
     )

@@ -52,6 +52,12 @@ class TestSolveCommand:
         assert code == 0
         assert "skin friction   = 0.331746097\n" in out
 
+    def test_header_prints_the_index_solved(self, capsys):
+        # six significant digits would print "P = 0.5" for the index one ulp above it
+        code, out, _ = run(capsys, "solve", "--p", "0.5000000000000001")
+        assert code == 0
+        assert out.startswith("P               = 0.5000000000000001\n")
+
     def test_nan_index_is_non_finite(self, capsys):
         code, out, err = run(capsys, "solve", "--p", "nan")
         assert (code, out) == (2, "")
@@ -207,6 +213,12 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "--p-list", "0.5000000000000001")
         assert code == 0
         assert "0.331746097" in out and "failed" not in out
+
+    def test_rows_one_ulp_apart_keep_their_labels(self, capsys):
+        code, out, _ = run(capsys, "table", "--p-list", "0.5,0.5000000000000001")
+        assert code == 0
+        labels = [row.split("|")[0].strip() for row in out.splitlines()[2:]]
+        assert labels == ["0.5", "0.5000000000000001"]
 
     def test_nan_row_is_non_finite(self, capsys):
         code, out, _ = run(capsys, "table", "--p-list", "1,nan")

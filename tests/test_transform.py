@@ -186,10 +186,12 @@ class TestFindTruncatedBoundary:
     def test_newtonian_lands_on_benchmark_boundary(self):
         assert find_truncated_boundary(make_parameter(1.0), 0.001).abscissae[-1] == 10.0
 
-    def test_shear_thinning_boundary_regression(self):
+    def test_shear_thinning_boundary_regression(self, solve_cached):
         # algebraic curvature decay pushes the plateau far out; value is a
-        # frozen regression constant from running the doubling procedure
-        assert find_truncated_boundary(make_parameter(0.3), 0.001).abscissae[-1] == 640.0
+        # frozen regression constant from running the doubling procedure,
+        # the same at step 1e-3 as at the automatic step 0.025
+        result = solve_cached(0.3, eta_inf="auto")
+        assert (result.starred.spacing, result.truncated_boundary) == (0.025, 640.0)
 
     @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032)])
     def test_profile_is_the_starred_integration(self, p, step):
@@ -358,16 +360,16 @@ class TestRescaleProfile:
 
 
 class TestAutoStep:
-    """``eta_inf="auto"`` with no step: halve from 0.05 while f''(0) moves (P <= 1)."""
+    """``eta_inf="auto"`` with no step: one search at 0.025 (P <= 1)."""
 
     @staticmethod
-    def searched_steps(monkeypatch, replace=None):
+    def searched_steps(monkeypatch):
         steps = []
         real = transform.find_truncated_boundary
 
         def spy(param, step):
             steps.append(step)
-            return (replace or real)(param, step)
+            return real(param, step)
 
         monkeypatch.setattr(transform, "find_truncated_boundary", spy)
         return steps
@@ -383,45 +385,17 @@ class TestAutoStep:
     def test_newtonian_lands_on_boyd(self, solve_cached):
         assert abs(solve_cached(1.0, eta_inf="auto").skin_friction - BOYD) <= 1e-13
 
-    def test_stops_at_first_agreeing_pair_and_keeps_the_finer(self, monkeypatch):
+    def test_searches_once_at_the_auto_step(self, monkeypatch):
         steps = self.searched_steps(monkeypatch)
-        result = solve(make_parameter(1.0), eta_inf="auto")
-        assert steps == [0.05, 0.025]
-        assert result.starred.spacing == 0.025
+        for p in (0.6, 1.0):
+            assert solve(make_parameter(p), eta_inf="auto").starred.spacing == 0.025
+        assert steps == [0.025, 0.025]
 
-    def test_pair_must_land_on_the_same_boundary(self, monkeypatch):
-        # the coarsest level runs on to E = 20; at P = 1 its f''(0) is
-        # within the budget of the next level's, which stops at E = 10
-        def overrun(param, step):
-            if step == 0.05:
-                return integrate_starred(param, GridSpec(step, 20.0))
-            return find_truncated_boundary(param, step)
-
-        param = make_parameter(1.0)
-        wall = [transform._wall_curvature(param, overrun(param, h)) for h in (0.05, 0.025)]
-        assert abs(wall[0] - wall[1]) <= transform._AUTO_BUDGET
-        steps = self.searched_steps(monkeypatch, overrun)
-        result = solve(param, eta_inf="auto")
-        assert steps == [0.05, 0.025, 0.0125]
-        assert result.starred.spacing == 0.0125
-        assert result.truncated_boundary == 10.0
-
-    def test_unmet_budget_stops_at_the_floor(self, monkeypatch):
-        monkeypatch.setattr(transform, "_AUTO_BUDGET", 0.0)
-        steps = self.searched_steps(monkeypatch)
-        result = solve(make_parameter(1.0), eta_inf="auto")
-        assert steps == [0.05 / 2**k for k in range(7)]
-        assert result.starred.spacing == 0.05 / 2**6 == 7.8125e-4
-        assert result.truncated_boundary == 10.0
-
-    def test_budget_is_relative_above_unit_wall_curvature(self, monkeypatch):
-        # f''(0) ~ 7.29 at P = 0.01 rounds to ~3e-13 of itself, above an
-        # absolute 1e-12; the floor step 7.8125e-4 gives 7.288358591084255
-        # in about a minute
-        steps = self.searched_steps(monkeypatch)
-        result = solve(make_parameter(0.01), eta_inf="auto")
-        assert steps == [0.05, 0.025, 0.0125]
-        assert result.starred.spacing == 0.0125 and result.truncated_boundary == 2560.0
+    def test_small_index_within_budget_of_the_floor_step(self, solve_cached):
+        # f''(0) ~ 7.29 at P = 0.01: step 7.8125e-4 gives 7.288358591084255
+        # (about a minute), and step 0.0125 is no closer to it than 0.025
+        result = solve_cached(0.01, eta_inf="auto")
+        assert result.starred.spacing == 0.025 and result.truncated_boundary == 2560.0
         assert abs(result.skin_friction - 7.288358591084255) <= 1e-12 * result.skin_friction
 
     @pytest.mark.parametrize("p", [1.2, 1.9])
