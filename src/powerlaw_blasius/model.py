@@ -20,12 +20,18 @@ and only reported.
 
 This module owns the parameter domain, the ODE right-hand side, the
 closed-form Pohlhausen estimate of the wall shear, and the embedded
-table of published skin-friction values used for regression.
+table of published skin-friction values used for regression.  The
+right-hand side and its curvature clamp are written once, as the
+Python source of one integration stage: :func:`ivp_rhs` compiles its
+callable form from that source and hands the source on with it, and
+the stepping loop of :mod:`powerlaw_blasius.runge_kutta` inlines it
+in place of a call per stage.
 """
 
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +125,37 @@ def _clamp_window(param: ModelParameter) -> float:
     return -math.inf if param.p > 1.0 else -CURVATURE_NOISE
 
 
+#: The right-hand side, written once: the Python source of one stage, in
+#: the form :func:`runge_kutta.integrate` inlines.  It reads the state
+#: (f, f', f'') from the fields {y0}, {y1}, {y2} and writes the
+#: derivative to {k0}, {k1}, {k2}; window, coef, ex and p are the
+#: per-P constants of :func:`ivp_rhs`.
+_RHS_STAGE = """\
+if {y2} < 0.0:
+    if {y2} < window:
+        raise CurvatureError("negative curvature f''=%.6g at P=%g" % ({y2}, p))
+    {y2} = 0.0
+{k0} = {y1}
+{k1} = {y2}
+{k2} = -{y0} * {y2}**ex / coef
+"""
+
+#: The callable form of the stage, for callers that evaluate the
+#: right-hand side at one state: bound to one P's constants, it returns
+#: the derivative as a tuple.
+_RHS_FUNCTION = """\
+def bind(window, coef, ex, p, CurvatureError):
+    def f(t, y):
+        y0, y1, y2 = y
+{stage}
+        return (k0, k1, k2)
+    return f
+"""
+_namespace: dict = {}
+_stage = textwrap.indent(_RHS_STAGE.format(y0="y0", y1="y1", y2="y2", k0="k0", k1="k1", k2="k2"), " " * 8)
+exec(compile(_RHS_FUNCTION.format(stage=_stage), "<model rhs>", "exec"), _namespace)
+
+
 def ivp_rhs(param: ModelParameter):
     """Right-hand side f(t, y) of the model as a first-order system.
 
@@ -131,19 +168,21 @@ def ivp_rhs(param: ModelParameter):
     Once a step starts from f'' <= 0 every stage sees zero curvature, so
     f' stays constant, f is linear and the stored f'' stays frozen until
     :func:`project_curvature` sets it to zero.
+
+    ``f`` is compiled from the one stage source, which it carries as
+    ``f.source`` with the names that source reads as ``f.constants``,
+    so :func:`runge_kutta.integrate` steps the same arithmetic inlined
+    in its loop in place of calling ``f``.
     """
-    window = _clamp_window(param)
-    coef = param.p * (param.p + 1.0)
-    ex = 2.0 - param.p
-
-    def f(t: float, y: tuple) -> tuple[float, float, float]:
-        fval, df, d2f = y
-        if d2f < 0.0:
-            if d2f < window:
-                raise CurvatureError(f"negative curvature f''={d2f:.6g} at P={param.p:g}")
-            d2f = 0.0
-        return (df, d2f, -fval * d2f**ex / coef)
-
+    constants = {
+        "window": _clamp_window(param),
+        "coef": param.p * (param.p + 1.0),
+        "ex": 2.0 - param.p,
+        "p": param.p,
+        "CurvatureError": CurvatureError,
+    }
+    f = _namespace["bind"](**constants)
+    f.source, f.constants = _RHS_STAGE, constants
     return f
 
 

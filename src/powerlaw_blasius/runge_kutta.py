@@ -3,8 +3,13 @@
 The boundary-layer solvers in this package integrate a three-component
 state (f, f', f'') over 10^4 - 10^6 uniform steps, so the stepping loop
 is straight-line Python over local floats: it is generated from the
-tableau on first use, once per tableau and state dimension, and numpy
-enters only to store each step's state.  Nothing is compiled at import.
+tableau on first use, once per tableau, state dimension and stage, and
+each step's state is stored through a flat view of the output array.
+A stage calls the right-hand side, unless the right-hand side carries
+its own Python source, as the model's does: then the loop inlines that
+source as every stage and takes the constants it reads as arguments,
+so one loop serves every P and the integrator knows nothing of the
+model.  Nothing is compiled at import.
 When every stage derivative is one constant k (the model past the
 P > 1 touchdown), ``_constant_rows`` produces the rows the loop would
 store with numpy, bit for bit, without stepping.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -222,11 +228,13 @@ def _state_blow_up(t: float, limit: float) -> str:
 
 
 #: Skeleton of the stepping loop; _kernel fills in one line per hoisted
-#: product, four per stage and one per state component.
+#: product, the lines of each stage and one line per state component in
+#: the update and in the store.
 _KERNEL_SOURCE = """
-def kernel(rhs, out, y, h, limit):
+def kernel(rhs, out, y, h, limit{constants}):
 {products}
     {state} = y
+    store = memoryview(out).cast("B").cast("d")
     t = 0.0
     for i in range(1, len(out)):
         t_next = i * h
@@ -235,25 +243,31 @@ def kernel(rhs, out, y, h, limit):
         # NaN fails the chained comparison too, so this covers non-finite
         if not ({bounded}):
             raise BlowUpError(t_next, state_blow_up(t_next, limit))
-        out[i] = {state}
+        j = i * {dim}
+{store}
         t = t_next
 """
 
 
 @functools.cache
-def _kernel(tableau: ButcherTableau, dim: int):
+def _kernel(tableau: ButcherTableau, dim: int, source: str | None = None, constants: tuple = ()):
     """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
 
-    ``kernel(rhs, out, y, h, limit)`` steps from state ``y`` at time 0
-    and stores step i's state in ``out[i]``.  Stage states sum their
-    nonzero terms a_ij k_j in order of j and the update its nonzero
-    b_j k_j likewise, so the bits are those of the term-by-term sparse
-    tableau; only the products h*a, c*h and h*b are hoisted.  Equal
-    tableaus share one loop.
+    ``kernel(rhs, out, y, h, limit, **constants)`` steps from state
+    ``y`` at time 0 and stores step i's state in ``out[i]``.  Each
+    stage is the statement ``source`` (see :func:`integrate`) with its
+    fields filled in, or without one a call of ``rhs``; the names in
+    ``constants`` are the loop's arguments, so one loop serves every
+    value they take.  Stage states sum their nonzero terms a_ij k_j in
+    order of j and the update its nonzero b_j k_j likewise, so the bits
+    are those of the term-by-term sparse tableau; only the products
+    h*a, c*h and h*b are hoisted.  Equal tableaus share one loop.
     """
     def each(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(m=m) for m in range(dim))
 
+    if source is None:  # the called stage, in the same form: "(k0, ...,) = rhs(t, (y0, ...,))"
+        source = f"({each('{{k{m}}}')},) = rhs({{t}}, ({each('{{y{m}}}')},))"
     rows = [[(j, a) for j, a in enumerate(row) if a != 0.0] for row in tableau.coupling]
     weight_terms = [(j, b) for j, b in enumerate(tableau.weights) if b != 0.0]
     products, stages = [], []
@@ -261,23 +275,30 @@ def _kernel(tableau: ButcherTableau, dim: int):
         products += [f"    ha{i}_{j} = h * {a!r}" for j, a in row]
         products.append(f"    hc{i} = {c!r} * h")
         terms = "".join(f" + ha{i}_{j} * k{j}_{{m}}" for j, _ in row)
+        fields = {f"y{m}": f"s{m}" for m in range(dim)} | {f"k{m}": f"k{i}_{m}" for m in range(dim)}
+        stages += [f"        ({each('s{m}')},) = ({each('y{m}' + terms)},)"]
+        if "{t}" in source:
+            stages.append(f"        ts = t + hc{i}")
         stages += [
-            f"        ts = t + hc{i}",
-            f"        ({each(f'k{i}_{{m}}')},) = rhs(ts, ({each('y{m}' + terms)},))",
+            textwrap.indent(source.format(t="ts", **fields), " " * 8).rstrip("\n"),
             f"        if not ({each(f'isfinite(k{i}_{{m}})', ' and ')}):",
+            f"            ts = t + hc{i}",
             f"            raise BlowUpError(ts, f'rhs blow-up at t={{ts:.6g}} (stage {i})')",
         ]
     products += [f"    hb{j} = h * {b!r}" for j, b in weight_terms]
     terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in weight_terms)
-    source = _KERNEL_SOURCE.format(
+    loop = _KERNEL_SOURCE.format(
+        constants="".join(f", {name}" for name in constants),
         products="\n".join(products),
         state=f"({each('y{m}')},)",
         stages="\n".join(stages),
         update=each(f"        y{{m}} = y{{m}}{terms}", "\n"),
         bounded=each("-limit <= y{m} <= limit", " and "),
+        dim=dim,
+        store=each("        store[j + {m}] = y{m}", "\n"),
     )
     namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError, "state_blow_up": _state_blow_up}
-    exec(compile(source, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
+    exec(compile(loop, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -285,21 +306,36 @@ def integrate(rhs: RhsFunction, tableau: ButcherTableau, grid: GridSpec, y0) -> 
     """Integrate y' = rhs(t, y) over the grid from y0.
 
     ``rhs`` receives the state as a tuple of floats and returns one
-    derivative per component; every component of ``y0`` must be finite.
-    Returns ``(t, y)`` with ``t`` the step_count + 1 node locations
-    (computed as i*step, not by accumulation, so there is no drift) and
-    ``y`` the (step_count + 1, dim) state samples; ``y[0]`` is ``y0``
-    exactly and every later row is the state the next step starts from.
+    derivative per component; every component of ``y0`` must be finite,
+    and there must be at least one.  Returns ``(t, y)`` with ``t`` the
+    step_count + 1 node locations (computed as i*step, not by
+    accumulation, so there is no drift) and ``y`` the
+    (step_count + 1, dim) state samples; ``y[0]`` is ``y0`` exactly and
+    every later row is the state the next step starts from.
+
+    An ``rhs`` that carries ``rhs.source`` and ``rhs.constants`` is not
+    called: the loop inlines its source as each stage.  That source is
+    Python statements that read the stage time from the field ``{t}``
+    (or ignore it), the stage state from ``{y0}``, ``{y1}``, ..., which
+    they may reassign, and write the derivative to ``{k0}``, ``{k1}``,
+    ...; ``rhs.constants`` maps every other name they read to its value.
+    The statements must compute what ``rhs`` returns, bit for bit.
 
     Raises :class:`BlowUpError` on a non-finite stage evaluation or when
     any component exceeds ``STATE_LIMIT``.
     """
     y = tuple(float(v) for v in y0)
+    if not y:
+        raise ValueError("initial state must have at least one component")
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
     out = np.empty((grid.step_count + 1, len(y)))
     out[0] = y
-    _kernel(tableau, len(y))(rhs, out, y, grid.step, STATE_LIMIT)
+    if hasattr(rhs, "source"):
+        kernel = _kernel(tableau, len(y), rhs.source, tuple(rhs.constants))
+        kernel(rhs, out, y, grid.step, STATE_LIMIT, **rhs.constants)
+    else:
+        _kernel(tableau, len(y))(rhs, out, y, grid.step, STATE_LIMIT)
     return grid.abscissae(), out
 
 

@@ -22,6 +22,7 @@ from powerlaw_blasius import (
     integrate,
     make_parameter,
     model,
+    runge_kutta,
     solve,
 )
 from powerlaw_blasius.runge_kutta import STATE_LIMIT, _constant_rows, _kernel
@@ -109,7 +110,7 @@ def outcome(run):
     """Bytes of the states ``run()`` returns, or the type, message and fields of what it raises."""
     try:
         states = run()
-    except BlowUpError as exc:
+    except (ArithmeticError, CurvatureError) as exc:
         return type(exc), str(exc), vars(exc)
     return np.asarray(states).tobytes()
 
@@ -193,6 +194,12 @@ class TestIntegrate:
             t, y = integrate(lambda t, y: (1.0,), tab, GridSpec(0.25, 2.5), (0.0,))
             # exact per step; ten steps add a few ulps of rounding at |y| <= 2.5
             assert y[:, 0] == pytest.approx(t, abs=1e-14)
+
+    def test_rejects_empty_state_before_building_a_loop(self):
+        built = _kernel.cache_info().currsize
+        with pytest.raises(ValueError, match="at least one component"):
+            integrate(exp_rhs, COOPER_VERNER_8, GridSpec(0.1, 1.0), ())
+        assert _kernel.cache_info().currsize == built
 
     def test_rejects_non_finite_state(self):
         for bad in (float("inf"), float("nan")):
@@ -366,6 +373,65 @@ class TestGeneratedLoop:
         # a pickled copy is equal, so it shares the cached loop
         copy = pickle.loads(pickle.dumps(heun))
         assert copy == heun and _kernel(copy, 1) is kernel
+
+
+class TestInlinedStage:
+    # the model's right-hand side carries its source, and the loop steps it
+    # inlined; wrapped in a plain function it is called, and the two agree
+    @staticmethod
+    def both(p, grid, y0):
+        """Outcomes of the model's RHS at P, inlined and called, from ``y0`` over ``grid``."""
+        rhs = model.ivp_rhs(make_parameter(p))
+        return [
+            outcome(lambda: integrate(f, COOPER_VERNER_8, grid, y0)[1])
+            for f in (rhs, lambda t, y: rhs(t, y))
+        ]
+
+    @pytest.mark.parametrize("step", [1e-3, 0.01, 0.025])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 1.0, 1.5, 1.9])
+    def test_states_match_the_called_stage(self, p, step):
+        inlined, called = self.both(p, GridSpec(step, 10.0), (0.0, 0.0, 1.0))
+        assert isinstance(inlined, bytes) and inlined == called
+
+    @pytest.mark.parametrize(
+        "p,y0,error,message",
+        [
+            (0.3, (100.0, 0.0, 1.0), CurvatureError, "negative curvature f''="),
+            (0.3, (0.0, 0.0, 1e300), OverflowError, ""),
+            (1.5, (1.79e308, 1e307, 1.0), BlowUpError, "rhs blow-up at t=0.0827327 (stage 3)"),
+        ],
+        ids=["sign-loss", "power-overflow", "rhs-blow-up"],
+    )
+    def test_errors_match_the_called_stage(self, p, y0, error, message):
+        inlined, called = self.both(p, GridSpec(0.1, 1.0), y0)
+        assert inlined == called
+        assert inlined[0] is error and inlined[1].startswith(message)
+
+    def test_state_blow_up_matches_the_called_stage(self, monkeypatch):
+        monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
+        inlined, called = self.both(1.0, GridSpec(0.01, 20.0), (0.0, 0.0, 1.0))
+        assert inlined == called
+        assert inlined[0] is BlowUpError and inlined[1].startswith("state blow-up at t=")
+
+    def test_a_right_hand_side_with_source_is_not_called(self):
+        rhs, calls = model.ivp_rhs(make_parameter(1.0)), []
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        counted.source, counted.constants = rhs.source, rhs.constants
+        grid = GridSpec(0.01, 1.0)
+        stepped = integrate(counted, COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
+        assert calls == []
+        assert stepped.tobytes() == integrate(rhs, COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1].tobytes()
+
+    def test_one_loop_serves_every_index(self):
+        # the per-P constants are the loop's arguments, not compiled into it
+        _kernel.cache_clear()
+        for p in (0.3, 0.5, 1.0, 1.5, 1.9):
+            solve(make_parameter(p), step=1e-3, eta_inf=10)
+        assert _kernel.cache_info().currsize == 1
 
 
 def _starred(p):
