@@ -165,14 +165,15 @@ def ivp_rhs(param: ModelParameter):
     anything more negative raises :class:`CurvatureError`.  For P > 1,
     where f'' falls monotonically to zero and stays there, every
     negative f'' is a step's touchdown overshoot and counts as zero.
-    Once a step starts from f'' <= 0 every stage sees zero curvature, so
-    f' stays constant, f is linear and the stored f'' stays frozen until
-    :func:`project_curvature` sets it to zero.
+    Once a step starts from f'' in the clamp window every stage sees
+    zero curvature, so f' stays constant, f is linear and the stored f''
+    stays frozen until :func:`project_curvature` sets it to zero.
 
     ``f`` is compiled from the one stage source, which it carries as
     ``f.source`` with the names that source reads as ``f.constants``,
     so :func:`runge_kutta.integrate` steps the same arithmetic inlined
-    in its loop in place of calling ``f``.
+    in its loop in place of calling ``f``, and that window test as
+    ``f.absorbing``, so it stops stepping there and fills the rest.
     """
     constants = {
         "window": _clamp_window(param),
@@ -182,7 +183,7 @@ def ivp_rhs(param: ModelParameter):
         "CurvatureError": CurvatureError,
     }
     f = _namespace["bind"](**constants)
-    f.source, f.constants = _RHS_STAGE, constants
+    f.source, f.constants, f.absorbing = _RHS_STAGE, constants, "window <= {y2} <= 0.0"
     return f
 
 

@@ -10,9 +10,9 @@ its own Python source, as the model's does: then the loop inlines that
 source as every stage and takes the constants it reads as arguments,
 so one loop serves every P and the integrator knows nothing of the
 model.  Nothing is compiled at import.
-When every stage derivative is one constant k (the model past the
-P > 1 touchdown), ``_constant_rows`` produces the rows the loop would
-store with numpy, bit for bit, without stepping.
+The loop stops on the first state the right-hand side absorbs (the
+model past the P > 1 touchdown), and ``_constant_rows`` fills the rows
+after it with numpy, bit for bit the rows the loop would store.
 Two schemes are embedded as literal tableau constants:
 
 * ``COOPER_VERNER_8`` -- the 11-stage explicit method of order 8 by
@@ -26,7 +26,9 @@ Two schemes are embedded as literal tableau constants:
 from __future__ import annotations
 
 import functools
+import keyword
 import math
+import symtable
 import textwrap
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -228,8 +230,8 @@ def _state_blow_up(t: float, limit: float) -> str:
 
 
 #: Skeleton of the stepping loop; _kernel fills in one line per hoisted
-#: product, the lines of each stage and one line per state component in
-#: the update and in the store.
+#: product, the absorbing test, the lines of each stage and one line
+#: per state component in the update and in the store.
 _KERNEL_SOURCE = """
 def kernel(rhs, out, y, h, limit{constants}):
 {products}
@@ -237,6 +239,7 @@ def kernel(rhs, out, y, h, limit{constants}):
     store = memoryview(out).cast("B").cast("d")
     t = 0.0
     for i in range(1, len(out)):
+{absorbed}
         t_next = i * h
 {stages}
 {update}
@@ -246,23 +249,12 @@ def kernel(rhs, out, y, h, limit{constants}):
         j = i * {dim}
 {store}
         t = t_next
+    return len(out) - 1
 """
 
 
-@functools.cache
-def _kernel(tableau: ButcherTableau, dim: int, source: str | None = None, constants: tuple = ()):
-    """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
-
-    ``kernel(rhs, out, y, h, limit, **constants)`` steps from state
-    ``y`` at time 0 and stores step i's state in ``out[i]``.  Each
-    stage is the statement ``source`` (see :func:`integrate`) with its
-    fields filled in, or without one a call of ``rhs``; the names in
-    ``constants`` are the loop's arguments, so one loop serves every
-    value they take.  Stage states sum their nonzero terms a_ij k_j in
-    order of j and the update its nonzero b_j k_j likewise, so the bits
-    are those of the term-by-term sparse tableau; only the products
-    h*a, c*h and h*b are hoisted.  Equal tableaus share one loop.
-    """
+def _loop_source(tableau: ButcherTableau, dim: int, source=None, constants: tuple = (), absorbing=None) -> str:
+    """The Python source of the stepping loop :func:`_kernel` compiles."""
     def each(fmt: str, sep: str = ", ") -> str:
         return sep.join(fmt.format(m=m) for m in range(dim))
 
@@ -287,16 +279,43 @@ def _kernel(tableau: ButcherTableau, dim: int, source: str | None = None, consta
         ]
     products += [f"    hb{j} = h * {b!r}" for j, b in weight_terms]
     terms = "".join(f" + hb{j} * k{j}_{{m}}" for j, _ in weight_terms)
-    loop = _KERNEL_SOURCE.format(
+    test = absorbing and absorbing.format(**{f"y{m}": f"y{m}" for m in range(dim)})
+    return _KERNEL_SOURCE.format(
         constants="".join(f", {name}" for name in constants),
         products="\n".join(products),
         state=f"({each('y{m}')},)",
+        absorbed=f"        if {test}:\n            return i - 1" if absorbing else "",
         stages="\n".join(stages),
         update=each(f"        y{{m}} = y{{m}}{terms}", "\n"),
         bounded=each("-limit <= y{m} <= limit", " and "),
         dim=dim,
         store=each("        store[j + {m}] = y{m}", "\n"),
     )
+
+
+@functools.cache
+def _kernel(tableau: ButcherTableau, dim: int, source=None, constants: tuple = (), absorbing=None):
+    """The stepping loop of ``tableau`` for ``dim`` components, generated on first use.
+
+    ``kernel(rhs, out, y, h, limit, **constants)`` steps from state
+    ``y`` at time 0, stores step i's state in ``out[i]`` and returns the
+    last row it stored: the first that the expression ``absorbing``
+    holds for, if any.  Each stage is the statement ``source`` (see
+    :func:`integrate`) with its fields filled in, or without one a call
+    of ``rhs``; the names in ``constants`` are the loop's arguments, so
+    one loop serves every value they take.  Stage states sum their
+    nonzero terms a_ij k_j in order of j and the update its nonzero
+    b_j k_j likewise, so the bits are those of the term-by-term sparse
+    tableau; only the products h*a, c*h and h*b are hoisted.  Equal
+    tableaus share one loop.
+    """
+    if constants:
+        own = symtable.symtable(_loop_source(tableau, dim), "<kernel>", "exec").get_children()[0].get_identifiers()
+        for name in constants:
+            if not str(name).isidentifier() or keyword.iskeyword(name) or name in own:
+                why = "a name the stepping loop binds or reads" if name in own else "not an identifier"
+                raise ValueError(f"rhs constant {name!r} is {why}")
+    loop = _loop_source(tableau, dim, source, constants, absorbing)
     namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError, "state_blow_up": _state_blow_up}
     exec(compile(loop, f"<{tableau.stage_count}-stage kernel, dim {dim}>", "exec"), namespace)
     return namespace["kernel"]
@@ -320,27 +339,37 @@ def integrate(rhs: RhsFunction, tableau: ButcherTableau, grid: GridSpec, y0) -> 
     they may reassign, and write the derivative to ``{k0}``, ``{k1}``,
     ...; ``rhs.constants`` maps every other name they read to its value.
     The statements must compute what ``rhs`` returns, bit for bit.
+    Such an ``rhs`` may also carry ``rhs.absorbing``: an expression in
+    ``{y0}``, ... and the constants that holds only on states from which
+    every stage derivative equals ``rhs`` there.  Stepping stops on the
+    first row it holds for, and the rows after it are filled, bit for
+    bit as stepped; from a ``y0`` with a negative zero, which a fill may
+    keep where stepping adds a zero of the other sign, all are stepped.
 
     Raises :class:`BlowUpError` on a non-finite stage evaluation or when
-    any component exceeds ``STATE_LIMIT``.
+    any component exceeds ``STATE_LIMIT``, and ``ValueError`` on a
+    constant that is not an identifier or that the loop binds or reads.
     """
     y = tuple(float(v) for v in y0)
     if not y:
         raise ValueError("initial state must have at least one component")
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
-    out = np.empty((grid.step_count + 1, len(y)))
-    out[0] = y
     if hasattr(rhs, "source"):
-        kernel = _kernel(tableau, len(y), rhs.source, tuple(rhs.constants))
-        kernel(rhs, out, y, grid.step, STATE_LIMIT, **rhs.constants)
+        absorbing = getattr(rhs, "absorbing", None) if all(v or math.copysign(1.0, v) > 0.0 for v in y) else None
+        kernel, constants = _kernel(tableau, len(y), rhs.source, tuple(rhs.constants), absorbing), rhs.constants
     else:
-        _kernel(tableau, len(y))(rhs, out, y, grid.step, STATE_LIMIT)
+        kernel, constants = _kernel(tableau, len(y)), {}
+    out = np.empty((grid.step_count + 1, len(y)))  # after the loop: its first compile peaks higher
+    out[0] = y
+    r = kernel(rhs, out, y, grid.step, STATE_LIMIT, **constants)
+    if r < grid.step_count:
+        _constant_rows(tableau, grid.step, rhs(r * grid.step, out[r].tolist()), out[r:], r)
     return grid.abscissae(), out
 
 
-def _constant_rows(tableau: ButcherTableau, h: float, k, rows: np.ndarray) -> None:
-    """Fill ``rows[1:]`` with the states the stepping loop stores after ``rows[0]``
+def _constant_rows(tableau: ButcherTableau, h: float, k, rows: np.ndarray, r: int = 0) -> None:
+    """Fill ``rows[1:]`` with the states the stepping loop stores after ``rows[0]``, its row r,
     when every stage derivative is ``k``.
 
     The loop then adds h*b_j * k_m to each component y_m, one nonzero
@@ -348,17 +377,17 @@ def _constant_rows(tableau: ButcherTableau, h: float, k, rows: np.ndarray) -> No
     ``add.accumulate``) adds the same increments in the same order, so
     the rows are bit for bit those of ``integrate`` with the constant
     right-hand side ``k`` (finite).  Raises :class:`BlowUpError`, at
-    i*h as the loop does, on the first row i with a component beyond
-    ``STATE_LIMIT``.
+    i*h as the loop does, on the first row i past r with a component
+    beyond ``STATE_LIMIT``.
     """
     hb = np.array([h * b for b in tableau.weights if b != 0.0])
     n, w = len(rows) - 1, hb.size
-    sums = np.empty(n * w + 1)
+    sums, bad = np.empty(n * w + 1), np.zeros(n, dtype=bool)
     for m, slope in enumerate(k):
         sums[0] = rows[0, m]
         sums[1:].reshape(n, w)[:] = hb * slope
         rows[1:, m] = np.cumsum(sums, out=sums)[w::w]
-    bad = ~(np.abs(rows) <= STATE_LIMIT).all(axis=1)
+        bad |= ~(np.abs(rows[1:, m], out=sums[:n]) <= STATE_LIMIT)
     if bad.any():
-        t = int(bad.argmax()) * h
+        t = (r + 1 + int(bad.argmax())) * h
         raise BlowUpError(t, _state_blow_up(t, STATE_LIMIT))

@@ -3,8 +3,8 @@
 Shooting iterates on the unknown wall curvature until the far-field
 condition f'(eta_inf) = 1 is met, which is exactly the work the
 non-iterative transformation avoids.  The two solvers share nothing but
-the ODE and the march that integrates it (:func:`transform._march`), so
-agreement between them validates the scaling-group logic.
+the ODE and the integrator, so agreement between them validates the
+scaling-group logic.
 
 The root finder works in log-log coordinates, log f''(0) against
 log f'(eta_inf), where the residual is close to a straight line.  One
@@ -24,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BlowUpError, BracketError, ConvergenceError, CurvatureError, ShotDivergedError
-from .model import ModelParameter
-from .runge_kutta import GridSpec, integrate
-from .transform import TransformResult, _march
+from .model import ModelParameter, ivp_rhs
+from .runge_kutta import COOPER_VERNER_8, GridSpec, integrate
+from .transform import TransformResult
 
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
@@ -62,8 +60,8 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     """Boundary residual f'(endpoint) - 1 for the curvature guess.
 
     Integrates the physical initial-value problem from (0, 0, guess)
-    with the order-8 scheme through :func:`transform._march`, which stops
-    stepping at the P > 1 touchdown.  The residual is strictly
+    with the order-8 scheme in one :func:`runge_kutta.integrate` call,
+    which stops stepping at the P > 1 touchdown.  The residual is strictly
     increasing in the guess, which is what makes bracketing sound.
     Blow-ups, curvature sign loss and a right-hand side that overflows
     the float range (f''**(2 - P) for P < 1) surface as
@@ -72,7 +70,7 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
     if not 0.0 < guess < math.inf:
         raise ValueError(f"curvature guess must be positive and finite, got {guess!r}")
     try:
-        states = _march(param, grid.step, grid.step_count, np.array([(0.0, 0.0, float(guess))]), integrate)
+        states = integrate(ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, float(guess)))[1]
     except (BlowUpError, CurvatureError) as exc:
         raise ShotDivergedError(float(guess), exc) from exc
     except OverflowError as exc:

@@ -21,12 +21,9 @@ literature's lam = s**((2P-1)/(P+1)) = s**(1/(1 - delta)) is only
 reported; at P = 1 the sign-flipped 1/(delta - 1) would give f''(0)
 ~ 3.01 instead of 0.332057336215.
 
-Every integration goes through ``_march``, which extends the rows
-marched from the wall to one stop row in calls of ``_CHUNK`` steps,
-with the bits of one call from the wall.  For P > 1 it stops stepping
-after the call that reaches the touchdown: past it f' is constant and
-f linear, and the rows left are the stepping loop's constant-derivative
-rows, which numpy produces with the bits stepping would give.
+Each integration is one ``integrate`` call, which stops stepping at
+the P > 1 touchdown: past it f' is constant and f linear, and the
+stepping loop's constant-derivative rows fill the rest.
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the search extends one march candidate by candidate, 5, 10, 20, ...,
@@ -46,7 +43,7 @@ import numpy as np
 from . import model
 from .errors import BlowUpError, NoPlateauError
 from .model import ModelParameter
-from .runge_kutta import COOPER_VERNER_8, MAX_STEP_COUNT, GridSpec, _constant_rows, integrate
+from .runge_kutta import COOPER_VERNER_8, MAX_STEP_COUNT, GridSpec, integrate
 
 __all__ = [
     "SolutionProfile",
@@ -139,12 +136,6 @@ _DEFAULT_STEP = 1e-3
 _AUTO_STEP = 0.025
 
 
-#: Steps per ``integrate`` call of :func:`_march`.  Past the P > 1
-#: touchdown a march steps on to the end of its call, so a longer call
-#: wastes more steps there and a shorter one costs more calls elsewhere;
-#: of 64 to 2048, 512 gave the fastest step-1e-3 solves at P = 0.3 to 1.9.
-_CHUNK = 512
-
 #: Truncated-boundary search: the first candidate, the wall shear
 #: |f*''(E)| that accepts a candidate, and the number of doublings.
 _SEARCH_START = 5.0
@@ -152,45 +143,23 @@ _SEARCH_TOL = 1e-8
 _DOUBLING_CAP = 10
 
 
-def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray, integrate) -> np.ndarray:
+def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) -> np.ndarray:
     """``states`` extended to row ``stop``: bit for bit the rows of one CV8 ``integrate`` call from ``states[0]``.
 
     ``states`` holds the rows already marched from the wall, at least
-    one.  The march works in blocks of ``_CHUNK`` steps; a remainder
-    under the ten steps a GridSpec needs joins the block that reaches
-    the stop.  A block that ends on a stored f'' the model clamps (any
-    f'' <= 0 at P > 1: the touchdown, however deep the overshoot) ends
-    the stepping: from that state on every stage derivative is its
-    ``rhs``, (f', 0, -0), so every later block is the loop's
-    constant-derivative rows, one numpy pass each; a march resumed
-    from such a row steps its first block, which gives the same bits.
-    A blow-up past row 0 is raised again by one call from ``states[0]``
-    to the stop, so it reports the time that call reports.
-    ``integrate`` is the caller's own name for
-    :func:`runge_kutta.integrate`, so each solver's calls go through
-    its module.
+    one; one call from the last adds the rest.  A blow-up past row 0 is
+    raised again by one call from ``states[0]`` to the stop, so it
+    reports the time that call reports.
     """
-    rhs, window = model.ivp_rhs(param), model._clamp_window(param)
-    blocks, done, k = [states], len(states) - 1, None
+    rhs, done = model.ivp_rhs(param), len(states) - 1
     try:
-        # even a stop at row 0 makes one block, for GridSpec to reject
-        while done < stop or not done:
-            m = stop - done if stop - done < _CHUNK + 10 else _CHUNK
-            if k is None:
-                rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, m * step), blocks[-1][-1])[1]
-                if window <= rows[-1, 2] <= 0.0:
-                    k = rhs((done + m) * step, rows[-1].tolist())
-            else:
-                rows = np.empty((m + 1, 3))
-                rows[0] = blocks[-1][-1]
-                _constant_rows(COOPER_VERNER_8, step, k, rows)
-            blocks.append(rows[1:])
-            done += m
+        # a stop at row 0 still makes a grid, for GridSpec to reject
+        rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, (stop - done) * step), states[-1])[1]
     except BlowUpError:
         if done:
             integrate(rhs, COOPER_VERNER_8, GridSpec(step, stop * step), states[0])
         raise
-    return np.concatenate(blocks)
+    return np.concatenate([states, rows[1:]])
 
 
 def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
@@ -201,7 +170,7 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     overshoot to zero) and, for a converged boundary, a slope plateau
     near the endpoint.
     """
-    states = _march(param, grid.step, grid.step_count, np.array([(0.0, 0.0, 1.0)]), integrate)
+    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
     values = model.project_curvature(param, states)
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=values)
 
@@ -236,7 +205,7 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
         ratio = endpoint / step
         if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
             raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
-        states = _march(param, step, round(ratio), states, integrate)
+        states = _march(param, step, round(ratio), states)
         if fit and states[-1, 2] < _SEARCH_TOL:
             eta = GridSpec(step, endpoint).abscissae()
             return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))

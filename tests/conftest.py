@@ -1,6 +1,6 @@
 import pytest
 
-from powerlaw_blasius import make_parameter, solve
+from powerlaw_blasius import make_parameter, runge_kutta, solve
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +15,28 @@ def solve_cached():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def stepped_rows(monkeypatch):
+    """``count(module, run)``: the rows ``run()`` steps in its calls of ``module.integrate``,
+    that is the rows of those calls less the rows filled past an absorbing state."""
+
+    def count(module, run):
+        calls, filled = [], []
+        real_integrate, real_fill = module.integrate, runge_kutta._constant_rows
+
+        def counting(rhs, tableau, grid, y0):
+            calls.append(grid.step_count)
+            return real_integrate(rhs, tableau, grid, y0)
+
+        def filling(tableau, h, k, rows, r=0):
+            filled.append(len(rows) - 1)
+            real_fill(tableau, h, k, rows, r)
+
+        monkeypatch.setattr(module, "integrate", counting)
+        monkeypatch.setattr(runge_kutta, "_constant_rows", filling)
+        run()
+        return sum(calls) - sum(filled)
+
+    return count

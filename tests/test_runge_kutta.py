@@ -434,6 +434,116 @@ class TestInlinedStage:
         assert _kernel.cache_info().currsize == 1
 
 
+def stepping(param):
+    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
+    rhs = model.ivp_rhs(param)
+    del rhs.absorbing
+    return rhs
+
+
+class TestAbsorbingState:
+    # from a state the model's RHS absorbs (f'' in the clamp window) the
+    # loop stops stepping and the rest is filled; the rows must be the
+    # ones stepping every row stores, and an error the one it raises
+    @staticmethod
+    def both(p, grid, y0):
+        """Outcomes of the model's RHS at P, with and without its absorbing test, from ``y0`` over ``grid``."""
+        param = make_parameter(p)
+        return [outcome(lambda: integrate(f, COOPER_VERNER_8, grid, y0)[1]) for f in (model.ivp_rhs(param), stepping(param))]
+
+    @staticmethod
+    def fills(monkeypatch):
+        """The rows each ``_constant_rows`` call of ``integrate`` starts from, recorded as it runs."""
+        starts, real = [], runge_kutta._constant_rows
+        monkeypatch.setattr(runge_kutta, "_constant_rows", lambda *a: starts.append(a[4]) or real(*a))
+        return starts
+
+    @pytest.mark.parametrize("step", [1e-3, 0.01, 0.025])
+    @pytest.mark.parametrize("p", [0.3, 1.0, 1.1, 1.5, 1.7765, 1.84375, 1.9, 1.99])
+    def test_starred_rows_match_stepping(self, p, step):
+        filled, stepped = self.both(p, GridSpec(step, 10.0), (0.0, 0.0, 1.0))
+        assert isinstance(filled, bytes) and filled == stepped
+
+    @pytest.mark.parametrize(
+        "p,y0",
+        [(1.5, (2.0, 1.3, -1e-3)), (1.9, (0.5, 0.7, 0.0)), (1.0, (1.0, 2.0, -5e-13)), (0.3, (3.0, 1.5, -1e-12))],
+        ids=["overshoot", "zero", "newtonian-window", "window-edge"],
+    )
+    def test_call_from_an_absorbing_row(self, monkeypatch, p, y0):
+        starts = self.fills(monkeypatch)
+        filled, stepped = self.both(p, GridSpec(0.01, 5.0), y0)
+        assert starts == [0] and isinstance(filled, bytes) and filled == stepped
+
+    def test_row_below_the_window_is_stepped(self, monkeypatch):
+        # at P <= 1 an f'' below -1e-12 is a sign loss, not a frozen row
+        starts = self.fills(monkeypatch)
+        filled, stepped = self.both(0.3, GridSpec(0.01, 5.0), (3.0, 1.5, -2e-12))
+        assert starts == [] and filled == stepped and filled[0] is CurvatureError
+
+    def test_blow_up_in_the_filled_tail(self, monkeypatch):
+        # f grows linearly past the P = 1.5 touchdown (eta* ~ 3.68) and
+        # leaves the limit in the filled rows, timed from the call's row 0
+        monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
+        starts = self.fills(monkeypatch)
+        filled, stepped = self.both(1.5, GridSpec(0.01, 20.0), (0.0, 0.0, 1.0))
+        assert starts == [368] and filled == stepped
+        assert filled[0] is BlowUpError and filled[2]["t"] == pytest.approx(5.59)
+
+    @pytest.mark.parametrize(
+        "p,y0", [(1.5, (0.05, -1.0, -0.0)), (1.0, (-1.0, 1.0, -0.0)), (0.3, (-0.0, -0.0, -1e-13))]
+    )
+    def test_state_with_a_negative_zero_is_stepped(self, monkeypatch, p, y0):
+        # the fill would keep a -0.0 that stepping turns into +0.0
+        starts = self.fills(monkeypatch)
+        filled, stepped = self.both(p, GridSpec(0.01, 1.0), y0)
+        assert starts == [] and filled == stepped
+
+    def test_without_the_test_every_row_is_stepped(self, monkeypatch):
+        starts = self.fills(monkeypatch)
+        integrate(stepping(make_parameter(1.5)), COOPER_VERNER_8, GridSpec(1e-3, 10.0), (0.0, 0.0, 1.0))
+        assert starts == []
+
+
+def decay(name):
+    """y' = -2y, inlined from a source that reads the rate from the constant ``name``."""
+    def rhs(t, y):
+        return (-2.0 * y[0],)
+
+    rhs.source, rhs.constants = f"{{k0}} = -{name} * {{y0}}\n", {name: 2.0}
+    return rhs
+
+
+class TestConstantNames:
+    # a constant is a loop argument; one that shares a name the loop binds
+    # or reads would be misread or make the generated source invalid
+    def test_free_name_is_inlined(self):
+        grid = GridSpec(0.01, 1.0)
+        inlined = integrate(decay("rate"), COOPER_VERNER_8, grid, (1.0,))[1]
+        called = integrate(lambda t, y: decay("rate")(t, y), COOPER_VERNER_8, grid, (1.0,))[1]
+        assert inlined.tobytes() == called.tobytes()
+        assert inlined[-1, 0] == pytest.approx(math.exp(-2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["j", "i", "t", "h"])
+    def test_name_the_loop_uses_is_rejected(self, name):
+        built = _kernel.cache_info().currsize
+        with pytest.raises(ValueError, match=f"^rhs constant '{name}' is a name the stepping loop binds or reads$"):
+            integrate(decay(name), COOPER_VERNER_8, GridSpec(0.01, 1.0), (1.0,))
+        assert _kernel.cache_info().currsize == built
+
+    @pytest.mark.parametrize("name", ["2x", "a-b", "lambda"])
+    def test_name_that_is_not_an_identifier_is_rejected(self, name):
+        rhs = decay("rate")
+        rhs.constants = {**rhs.constants, name: 1.0}
+        with pytest.raises(ValueError, match=f"^rhs constant '{name}' is not an identifier$"):
+            integrate(rhs, COOPER_VERNER_8, GridSpec(0.01, 1.0), (1.0,))
+
+    def test_constant_of_the_absorbing_test_is_checked(self):
+        rhs = decay("rate")
+        rhs.absorbing, rhs.constants = "{y0} <= t", {"rate": 2.0, "t": 0.5}
+        with pytest.raises(ValueError, match="^rhs constant 't' is a name"):
+            integrate(rhs, COOPER_VERNER_8, GridSpec(0.01, 1.0), (1.0,))
+
+
 def _starred(p):
     return solve(make_parameter(p), step=1e-3, eta_inf=10).starred.values
 

@@ -18,10 +18,17 @@ from powerlaw_blasius import (
     shoot,
     solve_by_shooting,
 )
-from powerlaw_blasius import model, runge_kutta, shooting, transform
+from powerlaw_blasius import model, runge_kutta, shooting
 
 BLASIUS_SKIN = 0.332057336215
 BENCH_GRID = GridSpec(0.001, 10.0)
+
+
+def _stepping(param):
+    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
+    rhs = model.ivp_rhs(param)
+    del rhs.absorbing
+    return rhs
 
 
 class TestShoot:
@@ -67,34 +74,25 @@ class TestShoot:
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_blow_up_past_first_call_reports_absolute_time(self, monkeypatch, p):
-        # the march restarts each integrate call at t = 0; at P = 1 the state
-        # leaves the limit in the second call, at P = 1.5 in the tail past
-        # the touchdown, and both must report the time of one call over the grid
+        # a shot reports the time stepping reports; at P = 1.5 the state
+        # leaves the limit in the tail past the touchdown, which is filled
         monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
         param, grid = make_parameter(p), GridSpec(0.01, 20.0)
         with pytest.raises(BlowUpError, match="^state blow-up") as whole:
-            integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
-        assert whole.value.t > transform._CHUNK * grid.step
+            integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
         with pytest.raises(ShotDivergedError) as err:
             shoot(param, 1.0, grid)
         assert err.value.__cause__.t == whole.value.t
         assert str(err.value) == f"shot diverged for initial curvature guess 1: {whole.value}"
 
-    def test_stops_stepping_past_the_touchdown(self, solve_cached, monkeypatch):
+    def test_stops_stepping_past_the_touchdown(self, solve_cached, stepped_rows):
         result = solve_cached(1.5)
         param, guess, grid = result.param, result.skin_friction, matched_grid(result)
-        states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, guess))[1]
+        states = integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, guess))[1]
         touchdown = int(np.argmax(states[:, 2] <= 0.0))
-        steps = []
-        real = shooting.integrate
-
-        def counting(rhs, tableau, grid, y0):
-            steps.append(grid.step_count)
-            return real(rhs, tableau, grid, y0)
-
-        monkeypatch.setattr(shooting, "integrate", counting)
-        assert shoot(param, guess, grid) == float(states[-1, 1]) - 1.0
-        assert 0 < touchdown <= sum(steps) < touchdown + transform._CHUNK < grid.step_count
+        residuals = []
+        assert stepped_rows(shooting, lambda: residuals.append(shoot(param, guess, grid))) == touchdown
+        assert 0 < touchdown < grid.step_count and residuals == [float(states[-1, 1]) - 1.0]
 
 
 class TestSolveByShooting:

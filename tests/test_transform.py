@@ -65,13 +65,12 @@ class TestIntegrateStarred:
         assert np.all(starred.df[first:] == starred.df[first])
 
     def test_final_row_below_window_rejected(self, monkeypatch):
-        # no later step checks the last stored row, so the projection must;
-        # at P = 0.3 and 1000 steps that row ends the second block of 488
+        # no later step checks the last stored row, so the projection must
         real = transform.integrate
 
         def undershoot(rhs, tableau, grid, y0):
             eta, rows = real(rhs, tableau, grid, y0)
-            if grid.step_count == 488:
+            if grid.step_count == 1000:
                 rows[-1, 2] = -1e-11
             return eta, rows
 
@@ -86,23 +85,30 @@ class TestIntegrateStarred:
         assert abs(profile.df[-1] - 2.08540) < 5e-4
 
 
+def _stepping(param):
+    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
+    rhs = model.ivp_rhs(param)
+    del rhs.absorbing
+    return rhs
+
+
 def _one_call(param, grid):
-    """Starred states of one ``integrate`` call over the grid, projected: what a march must store."""
-    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
+    """Starred states of one ``integrate`` call over the grid that steps every row, projected."""
+    states = integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
     return model.project_curvature(param, states)
 
 
 def _one_call_rows(param, step, stop):
-    """Unprojected starred rows of one ``integrate`` call from the wall to row ``stop``."""
-    return integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
+    """Unprojected starred rows of one ``integrate`` call from the wall to row ``stop`` that steps every row."""
+    return integrate(_stepping(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
 
 
 class TestMarch:
     @pytest.mark.parametrize("step", [1e-3, 0.01])
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0, 1.1, 1.5, 1.7573, 1.7765, 1.84375, 1.9, 1.99])
     def test_matches_one_integrate_call(self, p, step):
-        # past the P > 1 touchdown the rows come from numpy, not from
-        # stepping, and must be what stepping gives; at step 0.01 from
+        # past the P > 1 touchdown the rows are filled, not stepped, and
+        # must be what stepping gives; at step 0.01 from
         # P = 1.757 up a stage undershoots the touchdown by more than 1e-2
         param, grid = make_parameter(p), GridSpec(step, 10.0)
         assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
@@ -110,38 +116,27 @@ class TestMarch:
     @pytest.mark.parametrize("p", [0.8, 1.5])
     @pytest.mark.parametrize("n", [10, 521, 522, 1024, 1025, 1033, 1034, 1536])
     def test_any_step_count(self, p, n):
-        # 1025 steps leave one step after two calls of 512, too few for a
-        # GridSpec: it joins the last call
         param, grid = make_parameter(p), GridSpec(0.01, n * 0.01)
         assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
 
-    def test_stepping_stops_past_the_touchdown(self, monkeypatch):
+    def test_stepping_stops_past_the_touchdown(self, stepped_rows):
+        # the step from the first row with f'' <= 0 is the first one not taken
         param, grid = make_parameter(1.5), GridSpec(1e-3, 10.0)
         touchdown = int(np.argmax(_one_call(param, grid)[:, 2] == 0.0))
-        steps = []
-        real = transform.integrate
-
-        def counting(rhs, tableau, grid, y0):
-            steps.append(grid.step_count)
-            return real(rhs, tableau, grid, y0)
-
-        monkeypatch.setattr(transform, "integrate", counting)
-        integrate_starred(param, grid)
-        assert 0 < touchdown <= sum(steps) < touchdown + transform._CHUNK
+        assert stepped_rows(transform, lambda: integrate_starred(param, grid)) == touchdown == 3677
 
     @pytest.mark.parametrize("step", [1e-3, 0.01])
     @pytest.mark.parametrize("p", [0.8, 1.5])
     @pytest.mark.parametrize("eta", [3.0, 5.12, 5.0], ids=["mid-block", "block-edge", "past-touchdown"])
     def test_resumes_with_the_bits_of_one_call(self, p, step, eta):
         # the march extends rows[:r + 1] to the stop as one call from the
-        # wall stores them; r = 5.12 / step ends a 512-step block, and at
-        # P = 1.5 r = 5 / step lies past the touchdown (eta* ~ 3.68), a
-        # frozen row the search never resumes from
+        # wall stores them, from a row before the P = 1.5 touchdown
+        # (eta* ~ 3.68) or past it, where the resumed call starts on a
+        # frozen row and fills every row it adds
         param, stop, r = make_parameter(p), round(10.0 / step), round(eta / step)
         rows = _one_call_rows(param, step, stop)
-        assert eta != 5.12 or r % transform._CHUNK == 0
-        assert p != 1.5 or eta != 5.0 or rows[r, 2] <= 0.0
-        resumed = transform._march(param, step, stop, rows[: r + 1].copy(), integrate)
+        assert p != 1.5 or eta == 3.0 or rows[r, 2] <= 0.0
+        resumed = transform._march(param, step, stop, rows[: r + 1].copy())
         assert resumed.tobytes() == rows.tobytes()
 
     def test_blow_up_in_the_resumed_part_reports_the_one_call_time(self, monkeypatch):
@@ -152,7 +147,7 @@ class TestMarch:
             integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0))
         rows = _one_call_rows(param, 0.01, 500)
         with pytest.raises(BlowUpError) as err:
-            transform._march(param, 0.01, 1000, rows, integrate)
+            transform._march(param, 0.01, 1000, rows)
         assert whole.value.t == pytest.approx(7.72)
         assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
 
@@ -215,24 +210,16 @@ class TestFindTruncatedBoundary:
         assert result.truncated_boundary == 5.0
         assert result.starred.d2f[-1] == 0.0
 
-    def test_touchdown_carries_across_search_stops(self, monkeypatch):
+    def test_touchdown_carries_across_search_stops(self, stepped_rows):
         # at P = 1.1 the touchdown (row ~5780) lies past the first candidate
         # 5, so the search marches on to 10 and must stop stepping there
         param = make_parameter(1.1)
         direct = integrate_starred(param, GridSpec(1e-3, 10.0))
         touchdown = int(np.argmax(direct.d2f == 0.0))
-        steps = []
-        real = transform.integrate
-
-        def counting(rhs, tableau, grid, y0):
-            steps.append(grid.step_count)
-            return real(rhs, tableau, grid, y0)
-
-        monkeypatch.setattr(transform, "integrate", counting)
-        searched = find_truncated_boundary(param, 1e-3)
-        assert searched.abscissae[-1] == 10.0
-        assert searched.values.tobytes() == direct.values.tobytes()
-        assert 5000 < touchdown <= sum(steps) < touchdown + transform._CHUNK
+        searched = []
+        assert stepped_rows(transform, lambda: searched.append(find_truncated_boundary(param, 1e-3))) == touchdown
+        assert 5000 < touchdown and searched[0].abscissae[-1] == 10.0
+        assert searched[0].values.tobytes() == direct.values.tobytes()
 
     def test_blow_up_reports_time_from_the_wall(self, monkeypatch):
         # the state leaves the limit between the candidates 5 and 10; the
