@@ -2,8 +2,10 @@
 
 Shooting brackets the unknown wall curvature and iterates on it until
 the far-field slope hits one -- three to eight integrations against the
-transformation's single one, most of them on a coarse grid before one
-or two certify the root on the fine one.  Because the two solvers share
+transformation's single one, all on a coarse grid.  For P <= 1 one more
+shot at half the coarse step certifies the root (step doubling); for
+P > 1, or when the two coarse grids disagree, one or two shots certify
+it on the fine grid instead.  Because the two solvers share
 nothing but the Runge-Kutta stepper, agreement is strong evidence the
 scaling algebra is right.
 

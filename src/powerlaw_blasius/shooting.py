@@ -9,8 +9,11 @@ scaling-group logic.
 The root finder works in log-log coordinates, log f''(0) against
 log f'(eta_inf), where the residual is close to a straight line.  One
 Illinois loop finds the root on a coarse grid with the caller's
-endpoint and then certifies it on the caller's grid, going on from the
-coarse root when the first shot there misses.
+endpoint.  For P <= 1 one more shot at half the coarse step certifies
+it by step doubling (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4)
+when the two grids agree well inside the tolerance; otherwise, and
+always for P > 1, the root is certified on the caller's grid, going on
+from the coarse root when the first shot there misses.
 
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
@@ -32,17 +35,22 @@ from .transform import TransformResult
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
 #: Step of the coarse grid the root is found on.  A shot on it costs
-#: about 1/20 of one on a 1e-3 grid; the caller's grid then only
-#: certifies the root.
+#: about 1/20 of one on a 1e-3 grid; a shot at half this step or on the
+#: caller's grid then only certifies the root.
 _COARSE_STEP = 0.02
 
-#: Shots allowed in one solve, counted over both grids.
+#: Shots allowed in one solve, counted over every grid.
 _MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Bracket, tolerance and grid for one shooting solve."""
+    """Bracket, tolerance and grid for one shooting solve.
+
+    The root has |f'(endpoint) - 1| < ``residual_tol`` on ``grid``:
+    measured there, or for P <= 1 estimated by a step-doubling pair of
+    coarser grids, allowing one ulp per step of ``grid`` for its rounding.
+    """
 
     bracket_low: float
     bracket_high: float
@@ -83,9 +91,17 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
 
     Bracketed Illinois (regula falsi that halves a stale end's value)
     runs on x = log f''(0), y = log f'(endpoint).  It starts on a grid of
-    step ~``_COARSE_STEP`` with the caller's endpoint.  The first coarse
-    shot within the tolerance is shot again on the caller's grid; if that
-    misses, the same loop goes on there, with the halving count reset and
+    step ~``_COARSE_STEP`` with the caller's endpoint.  For P <= 1 and a
+    caller grid finer than half the coarse step, the first coarse shot
+    r_c within the tolerance is shot once at half the coarse step, r_h,
+    and returned if |r_h| + |r_c - r_h| + N ulp(1) < residual_tol, for the
+    N steps of the caller's grid.  The right-hand side is smooth there,
+    so the order-8 error at the half step is about |r_c - r_h|/255 and
+    the caller's finer grid errs less still; N ulp(1) allows for the
+    rounding of its N steps, which the pair does not see.  Otherwise,
+    and always for P > 1, where the touchdown breaks that error law, the
+    coarse root is shot again on the caller's grid; if that misses, the
+    same loop goes on there, with the halving count reset and
     the end values moved by the offset the two grids show at that root.
     It goes on inside the last coarse bracket, or inside the config
     bracket when the chord through the moved end values puts the root
@@ -96,19 +112,26 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     grid, tol = config.grid, config.residual_tol
     n = max(10, round(grid.endpoint / _COARSE_STEP))
     on = GridSpec(grid.endpoint / n, grid.endpoint) if n < grid.step_count else grid
+    # step doubling certifies only where the touchdown cannot break the
+    # error law, a half grid is cheaper than the caller's, and the
+    # caller's rounding, one ulp of f' ~ 1 a step, leaves room
+    slack = tol - grid.step_count * math.ulp(1.0)
+    half = None
+    if param.p <= 1.0 and 2 * n < grid.step_count and slack > 0.0:
+        half = GridSpec(grid.endpoint / (2 * n), grid.endpoint)
     shots = 0
 
-    def measure(guess):
-        """Residual and log f'(endpoint) of one counted shot on ``on``."""
+    def measure(guess, at):
+        """Residual and log f'(endpoint) of one counted shot on ``at``."""
         nonlocal shots
         if shots >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {shots} shots")
         shots += 1
-        r = shoot(param, guess, on)
+        r = shoot(param, guess, at)
         return r, math.log1p(r) if r > -1.0 else -math.inf
 
     lo, hi = config.bracket_low, config.bracket_high
-    (r_lo, ya), (r_hi, yb) = measure(lo), measure(hi)
+    (r_lo, ya), (r_hi, yb) = measure(lo, on), measure(hi, on)
     if not r_lo * r_hi < 0.0:
         raise BracketError(
             f"bracket invalid: residual signs agree at [{lo:g}, {hi:g}] "
@@ -121,14 +144,19 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
         if not a < x < b:
             x = 0.5 * (a + b)
         guess = math.exp(x)
-        r, y = measure(guess)
+        r, y = measure(guess, on)
         if abs(r) < tol and on is not grid:
+            if half is not None:
+                # step doubling: the half step errs about |r - r_half|/255
+                r_half = measure(guess, half)[0]
+                if abs(r_half) + abs(r - r_half) < slack:
+                    return guess
             # the coarse root, shot again on the caller's grid; moving the
             # coarse end values by the grids' offset keeps the next step
             # as good as a secant step through the coarse slope, and a root
             # that step puts outside the last bracket is sought in the first
             on, y_coarse = grid, y
-            r, y = measure(guess)
+            r, y = measure(guess, on)
             if not a < x - (y - y_coarse) * (b - a) / (yb - ya) < b:
                 a, b, ya, yb = first
             ya, yb, kept = ya + (y - y_coarse), yb + (y - y_coarse), None

@@ -255,6 +255,16 @@ class TestValidateCommand:
         assert code == 0
         assert out.count(" ok") == 2
 
+    def test_bracket_reach_is_stated_in_help(self, capsys):
+        # f''(0) is 2.51 at P = 0.03 on E = 10, just past the bracket's 2.5
+        code, out, _ = run(capsys, "validate", "--p-list", "0.03,0.04")
+        assert code == 2
+        rows = out.splitlines()[-2:]
+        assert "failed: bracket invalid" in rows[0] and rows[1].endswith(" ok")
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "reaches P >= 0.04" in " ".join(capsys.readouterr().out.split())
+
 
 class TestPohlhausenCommand:
     def test_reports_formula_and_published_columns(self, capsys):

@@ -180,6 +180,11 @@ def _recorded_grids(monkeypatch):
     return grids
 
 
+def _half_shots(grids):
+    """Shots at half the step of the first, coarse, recorded grid."""
+    return sum(g.step_count == 2 * grids[0].step_count for g in grids)
+
+
 class TestTwoLevelRootFinder:
     @pytest.mark.parametrize("p", [0.1, 0.3, 1.0, 1.5])
     def test_root_certified_on_caller_grid(self, solve_cached, p):
@@ -189,21 +194,27 @@ class TestTwoLevelRootFinder:
         assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
     def test_shear_thinning_finds_root_on_coarse_grid(self, solve_cached, monkeypatch):
+        # at P <= 1 one shot at half the coarse step certifies the root,
+        # so the caller's grid is never shot
         result = solve_cached(0.3)
         config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
-        solve_by_shooting(result.param, config)
-        coarse = [g for g in grids if g != config.grid]
-        assert 1 <= len(grids) - len(coarse) <= 3
-        assert coarse and all(g.endpoint == config.grid.endpoint and g.step > 0.01 for g in coarse)
+        root = solve_by_shooting(result.param, config)
+        assert config.grid not in grids
+        assert all(g.endpoint == config.grid.endpoint and g.step > 0.01 for g in grids[:-1])
+        assert _half_shots(grids) == 1 and grids[-1].step_count == 2 * grids[0].step_count
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
-    @pytest.mark.parametrize("p", [1.5, 1.9])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
     def test_shear_thickening_finds_root_on_coarse_grid(self, solve_cached, monkeypatch, p):
+        # the touchdown breaks the asymptotic error law, so two coarse
+        # grids could agree by accident: no shot at half the coarse step
         result = solve_cached(p)
         config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
         root = solve_by_shooting(result.param, config)
         assert any(g != config.grid for g in grids)
+        assert _half_shots(grids) == 0 and config.grid in grids
         assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
     def test_budget_counts_shots_on_both_grids(self, monkeypatch):
@@ -220,7 +231,8 @@ class TestTwoLevelRootFinder:
         # on a coarse step of 0.25 the coarse root is ~1e-11 off on the
         # caller's grid, so at 1e-13 the first shot there misses and the
         # loop goes on inside the coarse bracket; one more shot is what the
-        # secant step through the coarse slope needed too
+        # secant step through the coarse slope needed too.  At 1e-10 the
+        # shot at half the coarse step certifies the coarse root instead
         monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
         result = solve_cached(p)
         config = ShootingConfig(*bracket, grid=matched_grid(result, target_step=0.01), residual_tol=tol)
@@ -228,7 +240,7 @@ class TestTwoLevelRootFinder:
         root = solve_by_shooting(result.param, config)
         assert abs(shoot(result.param, root, config.grid)) < tol
         assert config.bracket_low < root < config.bracket_high
-        assert sum(g == config.grid for g in grids) == (2 if tol == 1e-13 else 1)
+        assert sum(g == config.grid for g in grids) == (2 if tol == 1e-13 else 0)
         monkeypatch.setattr(shooting, "_MAX_ITERATIONS", len(grids) - 1)
         with pytest.raises(ConvergenceError, match="no convergence"):
             solve_by_shooting(result.param, config)
@@ -248,6 +260,56 @@ class TestTwoLevelRootFinder:
         root = solve_by_shooting(make_parameter(1.0), config)
         assert grids and all(g == config.grid for g in grids)
         assert abs(root - BLASIUS_SKIN) <= 1e-8
+
+
+class TestStepDoubling:
+    """At P <= 1 a shot at half the coarse step certifies the coarse root."""
+
+    # P = 0.2 at 1e-12: the coarse root's residual is 0.96e-12, above the
+    # 0.32e-12 the rounding allowance for 3,067 caller-grid steps leaves,
+    # so the caller's grid is shot
+    @pytest.mark.parametrize("tol, target_step", [(1e-10, 1e-3), (1e-12, 5e-3)])
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0])
+    def test_root_meets_tolerance_on_caller_grid(self, solve_cached, monkeypatch, p, tol, target_step):
+        result = solve_cached(p)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result, target_step=target_step), residual_tol=tol)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(result.param, config)
+        assert _half_shots(grids) == 1
+        assert (config.grid in grids) == ((p, tol) == (0.2, 1e-12))
+        assert abs(shoot(result.param, root, config.grid)) < tol
+
+    def test_tolerance_the_pair_cannot_meet_falls_back_to_caller_grid(self, solve_cached, monkeypatch):
+        # on a coarse step of 0.25 the two coarse grids differ by ~1e-11
+        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        result = solve_cached(0.3)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result, target_step=0.01), residual_tol=1e-11)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(result.param, config)
+        assert _half_shots(grids) == 1 and config.grid in grids
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+
+    def test_tolerance_within_caller_grid_rounding_takes_no_half_shot(self, solve_cached, monkeypatch):
+        # the coarse root for 5e-14 has |r_half| + |r - r_half| = 6.6e-15 but
+        # a caller-grid residual of -5.7e-14, rounding over 14.6k steps that
+        # the pair does not see; their allowance, 3.2e-12, exceeds the tolerance
+        result = solve_cached(0.98)
+        config = ShootingConfig(0.01, 10.0, grid=matched_grid(result), residual_tol=5e-14)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(result.param, config)
+        assert _half_shots(grids) == 0 and config.grid in grids
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+
+    @pytest.mark.parametrize("target_step", [0.015, 0.01])
+    def test_caller_grid_between_coarse_and_half_step_takes_no_half_shot(self, solve_cached, monkeypatch, target_step):
+        # a caller grid no finer than half the coarse step is as cheap to shoot
+        result = solve_cached(0.3)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result, target_step=target_step), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        root = solve_by_shooting(result.param, config)
+        assert grids[0].step_count < config.grid.step_count < 2 * grids[0].step_count
+        assert config.grid in grids and all(g in (grids[0], config.grid) for g in grids)
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
 
 class TestMatchedGrid:
