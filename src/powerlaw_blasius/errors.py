@@ -1,5 +1,16 @@
 """Exception types raised by the boundary-layer solvers."""
 
+__all__ = [
+    "BoundaryLayerError",
+    "DomainError",
+    "CurvatureError",
+    "BlowUpError",
+    "NoPlateauError",
+    "BracketError",
+    "ShotDivergedError",
+    "ConvergenceError",
+]
+
 
 class BoundaryLayerError(Exception):
     """Base class for every error this package raises deliberately."""

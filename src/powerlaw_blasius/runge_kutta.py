@@ -13,14 +13,12 @@ model.  Nothing is compiled at import.
 The loop stops on the first state the right-hand side absorbs (the
 model past the P > 1 touchdown), and ``_constant_rows`` fills the rows
 after it with numpy, bit for bit the rows the loop would store.
-Two schemes are embedded as literal tableau constants:
-
-* ``COOPER_VERNER_8`` -- the 11-stage explicit method of order 8 by
-  Cooper and Verner (SIAM J. Numer. Anal. 9, 1972), built on the
-  5-point Lobatto quadrature with sqrt(21) nodes.  Its order is pinned
-  empirically by the convergence tests.
-* ``CLASSIC_RK4`` -- the classical 4-stage method of order 4, kept for
-  convergence cross-checks; no solver in the package steps with it.
+The one scheme the solvers step with is the literal tableau constant
+``COOPER_VERNER_8``: the 11-stage explicit method of order 8 by Cooper
+and Verner (SIAM J. Numer. Anal. 9, 1972), built on the 5-point Lobatto
+quadrature with sqrt(21) nodes.  Its order is pinned empirically by the
+convergence tests.  Any other scheme is a :class:`ButcherTableau` the
+caller builds.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ __all__ = [
     "ButcherTableau",
     "GridSpec",
     "COOPER_VERNER_8",
-    "CLASSIC_RK4",
-    "STATE_LIMIT",
     "integrate",
 ]
 
@@ -214,13 +210,6 @@ COOPER_VERNER_8 = ButcherTableau(
         ),
     ),
     declared_order=8,
-)
-
-CLASSIC_RK4 = ButcherTableau(
-    nodes=(0.0, 1 / 2, 1 / 2, 1.0),
-    weights=(1 / 6, 1 / 3, 1 / 3, 1 / 6),
-    coupling=((), (1 / 2,), (0, 1 / 2), (0, 0, 1.0)),
-    declared_order=4,
 )
 
 

@@ -62,7 +62,8 @@ class SolutionProfile:
 
     ``frame`` is ``"starred"`` for the unit-curvature initial-value run
     and ``"physical"`` for the rescaled solution of the original
-    problem.  ``values`` has one row (f, f', f'') per abscissa.
+    problem.  ``values`` has one row (f, f', f'') per abscissa.  Every
+    abscissa and value must be finite and the curvature non-negative.
     """
 
     frame: str
@@ -78,6 +79,8 @@ class SolutionProfile:
         object.__setattr__(self, "values", vals)
         if eta.ndim != 1 or eta.size < 2 or vals.shape != (eta.size, 3):
             raise ValueError("profile needs n >= 2 abscissae and (n, 3) values")
+        if not (np.isfinite(eta).all() and np.isfinite(vals).all()):
+            raise ValueError("profile abscissae and values must be finite")
         if eta[0] != 0.0:
             raise ValueError("profile must start at the wall (eta = 0)")
         spacing = np.diff(eta)
@@ -86,7 +89,7 @@ class SolutionProfile:
         # deviate by up to ~1e-12 of the domain length there
         if not (spacing > 0).all() or abs(spacing - h).max() > 1e-12 * max(eta[-1], h):
             raise ValueError("abscissae must increase with uniform spacing")
-        if (vals[:, 2] < 0.0).any():
+        if not (vals[:, 2] >= 0.0).all():
             raise ValueError("profile curvature must be non-negative everywhere")
 
     @property

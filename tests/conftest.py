@@ -1,6 +1,13 @@
 import pytest
 
-from powerlaw_blasius import make_parameter, runge_kutta, solve
+from powerlaw_blasius import make_parameter, model, runge_kutta, solve
+
+
+def stepping(param):
+    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
+    rhs = model.ivp_rhs(param)
+    del rhs.absorbing
+    return rhs
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_blasius import (
-    CLASSIC_RK4,
     COOPER_VERNER_8,
     BlowUpError,
     ButcherTableau,
@@ -26,6 +25,8 @@ from powerlaw_blasius import (
     solve,
 )
 from powerlaw_blasius.runge_kutta import STATE_LIMIT, _constant_rows, _kernel
+
+from conftest import stepping
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -282,7 +283,15 @@ def filled(tableau, grid, y, k):
     return rows
 
 
+# tableaus no solver steps with, for the loop generator: Heun's order-2
+# method and the classical order-4 method
 HEUN = ButcherTableau(nodes=(0.0, 1.0), weights=(0.5, 0.5), coupling=((), (1.0,)), declared_order=2)
+CLASSIC_RK4 = ButcherTableau(
+    nodes=(0.0, 1 / 2, 1 / 2, 1.0),
+    weights=(1 / 6, 1 / 3, 1 / 3, 1 / 6),
+    coupling=((), (1 / 2,), (0, 1 / 2), (0, 0, 1.0)),
+    declared_order=4,
+)
 
 
 class TestConstantRows:
@@ -432,13 +441,6 @@ class TestInlinedStage:
         for p in (0.3, 0.5, 1.0, 1.5, 1.9):
             solve(make_parameter(p), step=1e-3, eta_inf=10)
         assert _kernel.cache_info().currsize == 1
-
-
-def stepping(param):
-    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
-    rhs = model.ivp_rhs(param)
-    del rhs.absorbing
-    return rhs
 
 
 class TestAbsorbingState:

@@ -18,17 +18,12 @@ from powerlaw_blasius import (
     shoot,
     solve_by_shooting,
 )
-from powerlaw_blasius import model, runge_kutta, shooting
+from powerlaw_blasius import runge_kutta, shooting
+
+from conftest import stepping
 
 BLASIUS_SKIN = 0.332057336215
 BENCH_GRID = GridSpec(0.001, 10.0)
-
-
-def _stepping(param):
-    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
-    rhs = model.ivp_rhs(param)
-    del rhs.absorbing
-    return rhs
 
 
 class TestShoot:
@@ -79,7 +74,7 @@ class TestShoot:
         monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
         param, grid = make_parameter(p), GridSpec(0.01, 20.0)
         with pytest.raises(BlowUpError, match="^state blow-up") as whole:
-            integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
+            integrate(stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))
         with pytest.raises(ShotDivergedError) as err:
             shoot(param, 1.0, grid)
         assert err.value.__cause__.t == whole.value.t
@@ -88,7 +83,7 @@ class TestShoot:
     def test_stops_stepping_past_the_touchdown(self, solve_cached, stepped_rows):
         result = solve_cached(1.5)
         param, guess, grid = result.param, result.skin_friction, matched_grid(result)
-        states = integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, guess))[1]
+        states = integrate(stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, guess))[1]
         touchdown = int(np.argmax(states[:, 2] <= 0.0))
         residuals = []
         assert stepped_rows(shooting, lambda: residuals.append(shoot(param, guess, grid))) == touchdown

@@ -24,6 +24,8 @@ from powerlaw_blasius import (
 )
 from powerlaw_blasius import model, runge_kutta, transform
 
+from conftest import stepping
+
 #: Published nine-digit wall shear for the Newtonian case on the
 #: benchmark grid (step 1e-3, truncated boundary 10).
 BLASIUS_SKIN = 0.332057336215
@@ -85,22 +87,15 @@ class TestIntegrateStarred:
         assert abs(profile.df[-1] - 2.08540) < 5e-4
 
 
-def _stepping(param):
-    """``ivp_rhs(param)`` without its absorbing test, so ``integrate`` steps every row."""
-    rhs = model.ivp_rhs(param)
-    del rhs.absorbing
-    return rhs
-
-
 def _one_call(param, grid):
     """Starred states of one ``integrate`` call over the grid that steps every row, projected."""
-    states = integrate(_stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
+    states = integrate(stepping(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
     return model.project_curvature(param, states)
 
 
 def _one_call_rows(param, step, stop):
     """Unprojected starred rows of one ``integrate`` call from the wall to row ``stop`` that steps every row."""
-    return integrate(_stepping(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
+    return integrate(stepping(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
 
 
 class TestMarch:
@@ -175,6 +170,22 @@ class TestSolutionProfileValidation:
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError, match="frame"):
             SolutionProfile("rescaled", [0.0, 1.0], [[0.0, 0.0, 1.0]] * 2)
+
+    @pytest.mark.parametrize(
+        "eta, values",
+        [
+            ([0.0, 1.0, 2.0], [[0.0, 0.0, 1.0], [0.5, 1.0, math.nan], [1.0, 1.0, 0.0]]),
+            ([0.0, 1.0, 2.0], [[0.0, 0.0, 1.0], [math.inf, 1.0, 0.5], [1.0, 1.0, 0.0]]),
+            ([0.0, 1.0], [[0.0, 0.0, 1.0], [1.0, -math.inf, 0.5]]),
+            ([0.0, math.inf], [[0.0, 0.0, 1.0]] * 2),
+        ],
+        ids=["nan-curvature", "inf-f", "inf-slope", "inf-abscissa"],
+    )
+    def test_rejects_non_finite(self, eta, values):
+        # NaN is not < 0, so a sign test alone lets it through to
+        # rescale_profile and the physical frame
+        with pytest.raises(ValueError, match="finite"):
+            SolutionProfile("starred", eta, values)
 
 
 class TestFindTruncatedBoundary:
