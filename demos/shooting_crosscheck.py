@@ -4,10 +4,10 @@ Shooting brackets the unknown wall curvature and iterates on it until
 the far-field slope hits one -- three to eight integrations against the
 transformation's single one, all on a coarse grid.  For P <= 1 one more
 shot at half the coarse step certifies the root (step doubling); for
-P > 1, or when the two coarse grids disagree, one or two shots certify
-it on the fine grid instead.  Because the two solvers share
-nothing but the Runge-Kutta stepper, agreement is strong evidence the
-scaling algebra is right.
+P > 1, or when the two coarse grids disagree, chord steps along the
+last coarse chord certify it on the fine grid instead, in one to three
+shots.  Because the two solvers share nothing but the Runge-Kutta
+stepper, agreement is strong evidence the scaling algebra is right.
 
 One subtlety: for P < 1 the curvature decays only algebraically, so the
 truncated problem on [0, 10] and the truncated problem on [0, 17] have

@@ -169,11 +169,10 @@ def cmd_table(args) -> int:
 def cmd_validate(args) -> int:
     def row(p):
         result = solve(make_parameter(p), step=args.step)
-        # the oracle must shoot on the same truncated physical domain
-        # (for P < 1 the tail decays algebraically, so the domain, not
-        # the step, controls agreement); it finds the root at step ~0.02
-        # and certifies it at half that step for P <= 1 when the two
-        # agree, else on this step ~1e-3 grid
+        # the oracle shoots on the transform's truncated physical domain,
+        # since for P < 1 the domain, not the step, controls agreement; it
+        # finds the root at step ~0.02, then certifies it at half that step
+        # (P <= 1) or by chord steps on this grid of step ~1e-3, not --step
         grid = matched_grid(result, target_step=1e-3)
         shot = solve_by_shooting(result.param, ShootingConfig(*_ORACLE_BRACKET, grid=grid, residual_tol=1e-10))
         diff = abs(result.skin_friction - shot)
@@ -209,28 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Power-law boundary-layer solver using a non-iterative scaling transformation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    step_help = "grid step (default 1e-3; 0.025 with --eta-inf auto and P <= 1)"
+    eta_inf_help = "starred truncated boundary, a real or 'auto' (default 10)"
 
     sp = sub.add_parser("solve", help="solve for one power-law index")
     sp.add_argument("--p", type=float, required=True, help="power-law index, 0 < P < 2")
-    sp.add_argument("--step", type=_positive_real, default=None,
-                    help="grid step (default 1e-3; 0.025 with --eta-inf auto and P <= 1)")
-    sp.add_argument("--eta-inf", type=_boundary, default=None,
-                    help="starred truncated boundary, a real or 'auto' (default 10)")
+    sp.add_argument("--step", type=_positive_real, default=None, help=step_help)
+    sp.add_argument("--eta-inf", type=_boundary, default=None, help=eta_inf_help)
     sp.add_argument("--out", default=None, help="path prefix for CSV export of both profiles")
     sp.set_defaults(func=cmd_solve)
 
     tp = sub.add_parser("table", help="reproduce the published skin-friction table")
     tp.add_argument("--p-list", type=_parse_p_list, default=None, help="comma-separated P values")
-    tp.add_argument("--step", type=_positive_real, default=None)
-    tp.add_argument("--eta-inf", type=_boundary, default=None)
+    tp.add_argument("--step", type=_positive_real, default=None, help=step_help)
+    tp.add_argument("--eta-inf", type=_boundary, default=None, help=eta_inf_help)
     tp.set_defaults(func=cmd_table)
 
     vp = sub.add_parser("validate", help="cross-check the transform against shooting")
     vp.add_argument("--p-list", type=_parse_p_list, default=None,
                     help="comma-separated P values; the oracle's bracket 0.05 < f''(0) < 2.5 "
                          "reaches P >= 0.04 (f''(0) is 2.51 at P = 0.03)")
-    vp.add_argument("--step", type=_positive_real, default=None)
-    vp.add_argument("--tol", type=_positive_real, default=_ORACLE_TOL)
+    vp.add_argument("--step", type=_positive_real, default=None,
+                    help="the transform's grid step only (default 1e-3); the oracle keeps its ~1e-3 matched grid")
+    vp.add_argument("--tol", type=_positive_real, default=_ORACLE_TOL,
+                    help=f"largest |transform - shooting| a row passes with (default {_ORACLE_TOL:g})")
     vp.set_defaults(func=cmd_validate)
 
     pp = sub.add_parser("pohlhausen", help="closed-form estimate vs its published column")

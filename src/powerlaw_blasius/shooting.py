@@ -7,13 +7,13 @@ the ODE and the integrator, so agreement between them validates the
 scaling-group logic.
 
 The root finder works in log-log coordinates, log f''(0) against
-log f'(eta_inf), where the residual is close to a straight line.  One
-Illinois loop finds the root on a coarse grid with the caller's
-endpoint.  For P <= 1 one more shot at half the coarse step certifies
-it by step doubling (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4)
-when the two grids agree well inside the tolerance; otherwise, and
-always for P > 1, the root is certified on the caller's grid, going on
-from the coarse root when the first shot there misses.
+log f'(eta_inf), where the residual is close to a straight line.  An
+Illinois loop (Dowell & Jarratt, BIT 11, 1971) finds the root on a
+coarse grid with the caller's endpoint.  For P <= 1 one more shot at
+half the coarse step certifies it by step doubling (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.4) when the two grids agree well inside
+the tolerance; otherwise, and always for P > 1, chord steps carry it
+onto the caller's grid.
 
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
@@ -35,8 +35,8 @@ from .transform import TransformResult
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
 #: Step of the coarse grid the root is found on.  A shot on it costs
-#: about 1/20 of one on a 1e-3 grid; a shot at half this step or on the
-#: caller's grid then only certifies the root.
+#: about 1/20 of one on a 1e-3 grid; a shot at half this step, or the
+#: chord steps on the caller's grid, then only certify the root.
 _COARSE_STEP = 0.02
 
 #: Shots allowed in one solve, counted over every grid.
@@ -50,6 +50,8 @@ class ShootingConfig:
     The root has |f'(endpoint) - 1| < ``residual_tol`` on ``grid``:
     measured there, or for P <= 1 estimated by a step-doubling pair of
     coarser grids, allowing one ulp per step of ``grid`` for its rounding.
+    The root on ``grid`` can lie outside the bracket by the offset from
+    the coarse grid's root (2.4e-7 relative at P = 1.5, step 1e-3).
     """
 
     bracket_low: float
@@ -89,36 +91,27 @@ def shoot(param: ModelParameter, guess: float, grid: GridSpec) -> float:
 def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     """Wall curvature f''(0) with |f'(endpoint) - 1| < residual_tol on ``config.grid``.
 
-    Bracketed Illinois (regula falsi that halves a stale end's value)
-    runs on x = log f''(0), y = log f'(endpoint).  It starts on a grid of
-    step ~``_COARSE_STEP`` with the caller's endpoint.  For P <= 1 and a
-    caller grid finer than half the coarse step, the first coarse shot
-    r_c within the tolerance is shot once at half the coarse step, r_h,
-    and returned if |r_h| + |r_c - r_h| + N ulp(1) < residual_tol, for the
-    N steps of the caller's grid.  The right-hand side is smooth there,
-    so the order-8 error at the half step is about |r_c - r_h|/255 and
-    the caller's finer grid errs less still; N ulp(1) allows for the
-    rounding of its N steps, which the pair does not see.  Otherwise,
-    and always for P > 1, where the touchdown breaks that error law, the
-    coarse root is shot again on the caller's grid; if that misses, the
-    same loop goes on there, with the halving count reset and
-    the end values moved by the offset the two grids show at that root.
-    It goes on inside the last coarse bracket, or inside the config
-    bracket when the chord through the moved end values puts the root
-    outside the last one.  A caller grid no finer than the coarse one is
-    used alone.  Every shot counts against ``_MAX_ITERATIONS``.
-    Deterministic: repeated runs are bit-identical.
+    Three phases, one grid each, on x = log f''(0), y = log f'(endpoint).
+    Find: bracketed Illinois (regula falsi that halves a stale end's
+    value) runs on a grid of step ~``_COARSE_STEP`` with the caller's
+    endpoint, up to the first shot r_c within the tolerance; a caller
+    grid no finer than that is used alone.  Step doubling: for P <= 1
+    and a caller grid finer than half the coarse step, the root is shot
+    once at half the coarse step, r_h, and returned if |r_h| + |r_c - r_h|
+    + N ulp(1) < residual_tol, for the N steps of the caller's grid.  The
+    right-hand side is smooth there, so the order-8 error at the half
+    step is about |r_c - r_h|/255 and the caller's finer grid errs less
+    still; N ulp(1) allows for the rounding of its N steps, which the
+    pair does not see.  Caller's grid: otherwise, and always for P > 1,
+    where the touchdown breaks that error law, chord steps
+    x <- x - y (b - a)/(yb - ya) along the chord that gave the coarse
+    root go on there until |r| < residual_tol, free of the bracket.
+    Every shot counts against ``_MAX_ITERATIONS``.  Deterministic:
+    repeated runs are bit-identical.
     """
     grid, tol = config.grid, config.residual_tol
     n = max(10, round(grid.endpoint / _COARSE_STEP))
     on = GridSpec(grid.endpoint / n, grid.endpoint) if n < grid.step_count else grid
-    # step doubling certifies only where the touchdown cannot break the
-    # error law, a half grid is cheaper than the caller's, and the
-    # caller's rounding, one ulp of f' ~ 1 a step, leaves room
-    slack = tol - grid.step_count * math.ulp(1.0)
-    half = None
-    if param.p <= 1.0 and 2 * n < grid.step_count and slack > 0.0:
-        half = GridSpec(grid.endpoint / (2 * n), grid.endpoint)
     shots = 0
 
     def measure(guess, at):
@@ -138,30 +131,14 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
             f"({r_lo:.3g}, {r_hi:.3g}) for P={param.p:g}"
         )
     a, b, kept = math.log(lo), math.log(hi), None
-    first = a, b, ya, yb
     while True:
         x = (a * yb - b * ya) / (yb - ya)
         if not a < x < b:
             x = 0.5 * (a + b)
         guess = math.exp(x)
         r, y = measure(guess, on)
-        if abs(r) < tol and on is not grid:
-            if half is not None:
-                # step doubling: the half step errs about |r - r_half|/255
-                r_half = measure(guess, half)[0]
-                if abs(r_half) + abs(r - r_half) < slack:
-                    return guess
-            # the coarse root, shot again on the caller's grid; moving the
-            # coarse end values by the grids' offset keeps the next step
-            # as good as a secant step through the coarse slope, and a root
-            # that step puts outside the last bracket is sought in the first
-            on, y_coarse = grid, y
-            r, y = measure(guess, on)
-            if not a < x - (y - y_coarse) * (b - a) / (yb - ya) < b:
-                a, b, ya, yb = first
-            ya, yb, kept = ya + (y - y_coarse), yb + (y - y_coarse), None
         if abs(r) < tol:
-            return guess
+            break
         # Illinois: an end kept twice in a row has its value halved
         if ya * y < 0.0:
             b, yb = x, y
@@ -173,6 +150,24 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
             if kept == "b":
                 yb *= 0.5
             kept = "b"
+    if on is grid:
+        return guess
+    # step doubling, where the touchdown cannot break the error law, a
+    # half grid is cheaper than the caller's, and the caller's rounding,
+    # one ulp of f' ~ 1 a step, leaves room
+    slack = tol - grid.step_count * math.ulp(1.0)
+    if param.p <= 1.0 and 2 * n < grid.step_count and slack > 0.0:
+        r_half = measure(guess, GridSpec(grid.endpoint / (2 * n), grid.endpoint))[0]
+        if abs(r_half) + abs(r - r_half) < slack:
+            return guess
+    # chord steps on the caller's grid along the chord that gave the root
+    slope = (b - a) / (yb - ya)
+    r, y = measure(guess, grid)
+    while not abs(r) < tol:
+        x -= y * slope
+        guess = math.exp(x)
+        r, y = measure(guess, grid)
+    return guess
 
 
 def matched_grid(result: TransformResult, target_step: float = 1e-3) -> GridSpec:

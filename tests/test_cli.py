@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import tracemalloc
@@ -255,6 +256,15 @@ class TestValidateCommand:
         assert code == 0
         assert out.count(" ok") == 2
 
+    def test_default_rows_are_pinned(self, capsys):
+        # the sha256 of the default table's bytes: every transform and
+        # shooting digit it prints, and each |diff|
+        code, out, _ = run(capsys, "validate")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5657b133a56d05d9d8bc64451f5a378d2fb3a20d1c1c7a02b117b32149ed639e"
+        )
+
     def test_bracket_reach_is_stated_in_help(self, capsys):
         # f''(0) is 2.51 at P = 0.03 on E = 10, just past the bracket's 2.5
         code, out, _ = run(capsys, "validate", "--p-list", "0.03,0.04")
@@ -285,6 +295,13 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as err:
             main(["table", "--p-list", "1,spam"])
         assert err.value.code == 2
+
+    def test_every_option_has_help(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        bare = [f"{name} {action.option_strings[-1]}" for name, sub in commands.items()
+                for action in sub._actions if action.option_strings and not action.help]
+        assert bare == []
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--p", "1", "--step", "0"],

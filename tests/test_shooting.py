@@ -180,6 +180,26 @@ def _half_shots(grids):
     return sum(g.step_count == 2 * grids[0].step_count for g in grids)
 
 
+#: ``float.hex`` of the roots ``validate`` prints at its default P: bracket
+#: (0.05, 2.5), tolerance 1e-10, on ``matched_grid(solve(P))``.
+_VALIDATE_ROOTS = {
+    0.1: "0x1.a7281f4c8f9d9p-1",
+    0.2: "0x1.f61c30c3f643fp-2",
+    0.3: "0x1.90e96626cdab0p-2",
+    0.4: "0x1.66ce1aa2ff542p-2",
+    0.8: "0x1.4b4f0e3888226p-2",
+    1.0: "0x1.5406d69e23092p-2",
+    1.5: "0x1.7587312e3a9cfp-2",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_VALIDATE_ROOTS))
+def test_validate_roots_are_pinned(solve_cached, p):
+    result = solve_cached(p)
+    config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
+    assert solve_by_shooting(result.param, config).hex() == _VALIDATE_ROOTS[p]
+
+
 class TestTwoLevelRootFinder:
     @pytest.mark.parametrize("p", [0.1, 0.3, 1.0, 1.5])
     def test_root_certified_on_caller_grid(self, solve_cached, p):
@@ -248,6 +268,26 @@ class TestTwoLevelRootFinder:
         config = ShootingConfig(0.01, 10.0, grid=matched_grid(result, target_step=0.01), residual_tol=1e-13)
         root = solve_by_shooting(result.param, config)
         assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+
+    @pytest.mark.parametrize("p, coarse_step", [(1.5, shooting._COARSE_STEP), (0.3, 0.25)])
+    def test_caller_grid_root_past_the_config_bracket(self, solve_cached, monkeypatch, p, coarse_step):
+        # one bracket end sits halfway between the coarse root and the
+        # caller-grid root (2.4e-7 apart relative at P = 1.5, 3.6e-11 at
+        # P = 0.3), so only the coarse root lies inside; the chord steps on
+        # the caller's grid leave the bracket by that offset
+        monkeypatch.setattr(shooting, "_COARSE_STEP", coarse_step)
+        result = solve_cached(p)
+        grid = matched_grid(result)
+        grids = _recorded_grids(monkeypatch)
+        caller = solve_by_shooting(result.param, ShootingConfig(0.05, 2.5, grid=grid, residual_tol=1e-13))
+        coarse = solve_by_shooting(result.param, ShootingConfig(0.05, 2.5, grid=grids[0], residual_tol=1e-13))
+        end = 0.5 * (coarse + caller)
+        config = ShootingConfig(*((0.05, end) if coarse < caller else (end, 2.5)), grid=grid, residual_tol=1e-13)
+        grids.clear()
+        root = solve_by_shooting(result.param, config)
+        assert not config.bracket_low < root < config.bracket_high
+        assert abs(shoot(result.param, root, grid)) < config.residual_tol
+        assert sum(g == grid for g in grids) <= 3
 
     def test_grid_coarser_than_search_grid_used_directly(self, monkeypatch):
         config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.05, 10.0), residual_tol=1e-10)

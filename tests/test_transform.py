@@ -552,3 +552,22 @@ class TestSolve:
         wrong_skin = wrong ** (2.0 * result.param.delta - 1.0)
         assert abs(wrong_skin - 3.01) < 0.01
         assert abs(result.skin_friction - wrong_skin) > 1.0
+
+
+class TestTaylorOracle:
+    """mpmath's Taylor-series ``odefun`` at 25 digits, an oracle that shares
+    neither the Runge-Kutta core nor double rounding with the package."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_wall_curvature_on_the_benchmark_boundary(self, p):
+        # the starred IVP in the f'' form, P (P + 1) f''' = -f f''**(2 - P)
+        # from (0, 0, 1), to E = 10; f''(0) = f*'(10)**(-3/(P + 1)).  The
+        # solves err 9.3e-15 / 7.2e-16 at P = 0.5 and 2.2e-14 / 1.6e-15 at
+        # P = 1: at step 1e-3 the roundoff of 10k steps outweighs the
+        # truncation error of step 0.025
+        with mpmath.workdps(25):
+            P = mpmath.mpf(p)
+            ivp = mpmath.odefun(lambda eta, y: [y[1], y[2], -y[0] * y[2] ** (2 - P) / (P * (P + 1))], 0, [0, 0, 1])
+            exact = float(ivp(10)[1] ** (-3 / (P + 1)))
+        for step, bound in ((1e-3, 5e-14), (0.025, 5e-15)):
+            assert abs(solve(make_parameter(p), step=step, eta_inf=10.0).skin_friction - exact) <= bound
