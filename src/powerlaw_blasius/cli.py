@@ -208,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Power-law boundary-layer solver using a non-iterative scaling transformation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    step_help = "grid step (default 1e-3; 0.025 with --eta-inf auto and P <= 1)"
+    step_help = (
+        "spacing of the returned profile; P <= 1 marches at 0.01 when finer"
+        " (default 1e-3; 0.025 with --eta-inf auto and P <= 1)"
+    )
     eta_inf_help = "starred truncated boundary, a real or 'auto' (default 10)"
 
     sp = sub.add_parser("solve", help="solve for one power-law index")

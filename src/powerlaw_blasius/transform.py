@@ -25,12 +25,21 @@ Each integration is one ``integrate`` call, which stops stepping at
 the P > 1 touchdown: past it f' is constant and f linear, and the
 stepping loop's constant-derivative rows fill the rest.
 
+The step of a solve is the spacing of the profile it returns.  For
+P <= 1 a grid finer than 0.01 is not marched: the march runs at about
+0.01 and quintic Hermite interpolation fills the caller's grid from it
+(:func:`_sample`).  Every output node on a march node, the last one
+included, keeps the marched bits, and f''(0) comes from that last row:
+the 10k steps of the benchmark grid (step 1e-3) only added roundoff to
+it.  P > 1 marches on the caller's grid, because the scheme loses
+order across the touchdown.
+
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the search extends one march candidate by candidate, 5, 10, 20, ...,
 and accepts the first whose wall shear has decayed.  When the caller
 gives no step, that one search runs at step 0.025 for P <= 1 and at
-the benchmark step 1e-3 for P > 1.  An explicit step and every fixed
-boundary keep the caller's grid (by default 1e-3) bit for bit.
+the benchmark step 1e-3 for P > 1.  A search and a fixed boundary on
+the same grid give the same profile bit for bit.
 """
 
 from __future__ import annotations
@@ -84,10 +93,10 @@ class SolutionProfile:
         if eta[0] != 0.0:
             raise ValueError("profile must start at the wall (eta = 0)")
         spacing = np.diff(eta)
-        h = spacing[0]
+        h, low, high = spacing[0], spacing.min(), spacing.max()
         # the final node is pinned to the grid endpoint, so spacing may
         # deviate by up to ~1e-12 of the domain length there
-        if not (spacing > 0).all() or abs(spacing - h).max() > 1e-12 * max(eta[-1], h):
+        if not low > 0 or max(high - h, h - low) > 1e-12 * max(eta[-1], h):
             raise ValueError("abscissae must increase with uniform spacing")
         if not (vals[:, 2] >= 0.0).all():
             raise ValueError("profile curvature must be non-negative everywhere")
@@ -138,6 +147,12 @@ _DEFAULT_STEP = 1e-3
 #: at half the step, far below the truncation error the boundary keeps.
 _AUTO_STEP = 0.025
 
+#: March step of a P <= 1 grid finer than it; :func:`_sample` fills the
+#: grid.  It is not ``_AUTO_STEP``: there the sampled f'' is 1.9e-9 off
+#: a step-1e-3 march at P = 0.01 and 6.8e-11 at P = 0.05, where f''''
+#: is large; at 0.01 the worst is 7.8e-12, at P = 0.01.
+_MARCH_STEP = 0.01
+
 
 #: Truncated-boundary search: the first candidate, the wall shear
 #: |f*''(E)| that accepts a candidate, and the number of doublings.
@@ -165,17 +180,84 @@ def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) ->
     return np.concatenate([states, rows[1:]])
 
 
+def _march_grid(param: ModelParameter, grid: GridSpec) -> GridSpec:
+    """The grid the starred IVP is marched on to fill ``grid``.
+
+    For P <= 1, n = max(10, round(E / ``_MARCH_STEP``)) steps over the
+    same [0, E] when that is fewer than ``grid`` has; else ``grid``.
+    """
+    n = max(10, round(grid.endpoint / _MARCH_STEP))
+    if param.p > 1.0 or n >= grid.step_count:
+        return grid
+    return GridSpec(grid.endpoint / n, grid.endpoint)
+
+
+def _sample(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Rows (f, f', f'') at the nodes of ``grid`` from the march ``states`` on a coarser grid over [0, E].
+
+    Each march interval is filled by quintic Hermite interpolation
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): f from
+    (f, f', f''), f' from (f', f'', f''') and f'' from (f'', f''', f'''')
+    at both of its ends, with f''' = -f g**(2-P) / c and f'''' =
+    -(f' g**(2-P) + (2-P) f g**(1-P) f''') / c from the ODE (g = f'',
+    c = P(P+1)), so no stage is added.  Node i of the N-step grid lies in
+    march interval j = (i n) // N at theta = (i n mod N) / N, from
+    integers, so every node on a march node, the last one included,
+    keeps the marched row bit for bit.  Each column is one Horner pass
+    in theta over the nodes, with one gather buffer.
+    """
+    n, N = len(states) - 1, grid.step_count
+    p, c = param.p, param.p * (param.p + 1.0)
+    f, df, d2f = states.T
+    g = np.maximum(d2f, 0.0)  # the clamp window counts as zero, as in the RHS
+    power = g ** (2.0 - p)
+    d3f = -f * power / c
+    d4f = -(df * power + (2.0 - p) * f * g ** (1.0 - p) * d3f) / c
+    derivatives = (f, df, d2f, d3f, d4f)
+    h = grid.endpoint / n
+    j, theta = np.divmod(np.arange(N) * n, N)
+    theta = theta / N
+    out, gathered = np.empty((N + 1, 3)), np.empty(N)
+    for m in range(3):
+        u, du, ddu = derivatives[m : m + 3]
+        delta, a, b = u[1:] - u[:-1], h * du[:-1], h * h * ddu[:-1]
+        a1, b1 = h * du[1:], h * h * ddu[1:]
+        coefficients = (
+            u[:-1],
+            a,
+            b / 2.0,
+            10.0 * delta - 6.0 * a - 4.0 * a1 - (3.0 * b - b1) / 2.0,
+            -15.0 * delta + 8.0 * a + 7.0 * a1 + (3.0 * b - 2.0 * b1) / 2.0,
+            6.0 * delta - 3.0 * a - 3.0 * a1 - (b - b1) / 2.0,
+        )
+        column = coefficients[-1][j]
+        for coefficient in coefficients[-2::-1]:
+            column *= theta
+            column += np.take(coefficient, j, out=gathered)
+        out[:-1, m] = column
+    common = math.gcd(n, N)
+    out[:: N // common] = states[:: n // common]
+    return out
+
+
+def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> SolutionProfile:
+    """The starred profile on ``grid`` from the rows marched over its [0, E], sampled when the march is coarser."""
+    if len(states) - 1 != grid.step_count:
+        states = _sample(param, states, grid)
+    return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=model.project_curvature(param, states))
+
+
 def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     """Integrate the model in starred variables from (0, 0, 1).
 
-    The returned profile has f*''(0) = 1 exactly, non-negative
-    curvature everywhere (:func:`model.project_curvature` sets touchdown
-    overshoot to zero) and, for a converged boundary, a slope plateau
-    near the endpoint.
+    The march runs on :func:`_march_grid`, and a coarser march is
+    sampled onto ``grid``.  The returned profile has f*''(0) = 1
+    exactly, non-negative curvature everywhere
+    (:func:`model.project_curvature` sets touchdown overshoot to zero)
+    and, for a converged boundary, a slope plateau near the endpoint.
     """
-    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
-    values = model.project_curvature(param, states)
-    return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=values)
+    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, _march_grid(param, grid), (0.0, 0.0, 1.0))[1]
+    return _starred_profile(param, states, grid)
 
 
 def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfile:
@@ -184,12 +266,13 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     Operationalizes truncation "found by trial": the wall-shear decay
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
     the Newtonian case E lands on the benchmark boundary 10).  The
-    search extends one march from the wall candidate by candidate, to
-    rows round(E / step), so the profile equals
-    :func:`integrate_starred` on ``GridSpec(step, E)`` bit for bit and
-    a blow-up reports its time from the wall.  Only a candidate the step
-    divides (GridSpec's 1e-12 rule) is tested, so a step that does not
-    divide 5 lands on the later candidates.  The test is signed,
+    search extends one march from the wall candidate by candidate, at
+    the step of :func:`_march_grid` (0.01 for P <= 1 and a finer step),
+    and samples the accepted candidate's rows onto ``GridSpec(step, E)``
+    as :func:`integrate_starred` does, so the profile equals that one
+    bit for bit and a blow-up reports its time from the wall.  Only a
+    candidate the step divides (GridSpec's 1e-12 rule) is tested, so a
+    step that does not divide 5 lands on the later candidates.  The test is signed,
     f*''(E) < 1e-8: for P > 1 the stored curvature past the touchdown
     may be an undershoot, which the final projection zeroes.
 
@@ -203,15 +286,21 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     fits = [E / step > MAX_STEP_COUNT or abs(round(E / step) * step - E) <= 1e-12 * E for E in ends]
     if not any(fits):
         raise ValueError(f"step {step!r} divides none of the candidates 5 to {ends[-1]:g}")
+    # the march step of the first candidate the step divides serves them
+    # all: each candidate is a multiple of 0.01, and the step is finer
+    # than the march's at every candidate it divides or at none
+    first = ends[fits.index(True)]
+    march_step = step
+    if 10 <= first / step <= MAX_STEP_COUNT:  # else GridSpec's error is raised from the march
+        march_step = _march_grid(param, GridSpec(step, first)).step
     states = np.array([(0.0, 0.0, 1.0)])
     for endpoint, fit in zip(ends, fits):
         ratio = endpoint / step
         if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
             raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
-        states = _march(param, step, round(ratio), states)
+        states = _march(param, march_step, round(endpoint / march_step), states)
         if fit and states[-1, 2] < _SEARCH_TOL:
-            eta = GridSpec(step, endpoint).abscissae()
-            return SolutionProfile(frame="starred", abscissae=eta, values=model.project_curvature(param, states))
+            return _starred_profile(param, states, GridSpec(step, endpoint))
     raise NoPlateauError(f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint:g} (P={param.p:g})")
 
 
@@ -255,9 +344,12 @@ def solve(
 ) -> TransformResult:
     """Run the full non-iterative pipeline for one parameter value.
 
-    Two knobs set the starred grid: ``step`` and the truncated boundary
-    ``eta_inf`` (default 10.0; with the default step 1e-3 that is the
-    published benchmark grid).  ``eta_inf="auto"`` takes the starred
+    Two knobs set the starred grid: ``step``, the spacing of the
+    returned profiles, and the truncated boundary ``eta_inf`` (default
+    10.0; with the default step 1e-3 that is the published benchmark
+    grid).  For P <= 1 a step finer than 0.01 is filled by
+    interpolation from a march at about 0.01, see the module docstring.
+    ``eta_inf="auto"`` takes the starred
     profile the boundary search :func:`find_truncated_boundary`
     integrated, in one search; with no ``step`` it searches at 0.025
     for P <= 1 and at 1e-3 for P > 1.  The boundary must be an integer

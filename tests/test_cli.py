@@ -262,7 +262,7 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5657b133a56d05d9d8bc64451f5a378d2fb3a20d1c1c7a02b117b32149ed639e"
+            "c3fb9e7cd66f6e98d3865422548989a273d3460de05e7109d20572d8ae4f54f1"
         )
 
     def test_bracket_reach_is_stated_in_help(self, capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -104,9 +106,14 @@ class TestMarch:
     def test_matches_one_integrate_call(self, p, step):
         # past the P > 1 touchdown the rows are filled, not stepped, and
         # must be what stepping gives; at step 0.01 from
-        # P = 1.757 up a stage undershoots the touchdown by more than 1e-2
+        # P = 1.757 up a stage undershoots the touchdown by more than 1e-2.
+        # At P <= 1 the step-1e-3 grid is sampled from a march at 0.01,
+        # whose rows are every tenth row of the profile
         param, grid = make_parameter(p), GridSpec(step, 10.0)
-        assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
+        march = transform._march_grid(param, grid)
+        stride = grid.step_count // march.step_count
+        assert stride == (10 if p <= 1.0 and step < 0.01 else 1)
+        assert integrate_starred(param, grid).values[::stride].tobytes() == _one_call(param, march).tobytes()
 
     @pytest.mark.parametrize("p", [0.8, 1.5])
     @pytest.mark.parametrize("n", [10, 521, 522, 1024, 1025, 1033, 1034, 1536])
@@ -145,6 +152,86 @@ class TestMarch:
             transform._march(param, 0.01, 1000, rows)
         assert whole.value.t == pytest.approx(7.72)
         assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
+
+
+#: P <= 1 grids the march at 0.01 fills: the benchmark grid, and step
+#: 0.0032 on E = 20, whose nodes meet the march's only every 25th
+_SAMPLED = [(0.01, 1e-3, 10.0), (0.05, 1e-3, 10.0), (0.3, 1e-3, 10.0), (1.0, 1e-3, 10.0), (0.8, 0.0032, 20.0)]
+
+
+class TestSample:
+    """A P <= 1 grid finer than 0.01 is filled by quintic Hermite interpolation from a march at 0.01."""
+
+    @pytest.mark.parametrize("p, step, eta_inf", _SAMPLED)
+    def test_within_bound_of_one_call_on_the_callers_grid(self, p, step, eta_inf):
+        # worst 7.8e-12, in f'' at P = 0.01, where f'''' is largest
+        param, grid = make_parameter(p), GridSpec(step, eta_inf)
+        sampled, marched = integrate_starred(param, grid).values, _one_call(param, grid)
+        for m in range(3):
+            assert np.abs(sampled[:, m] - marched[:, m]).max() <= 1e-11 * max(1.0, np.abs(marched[:, m]).max())
+
+    @pytest.mark.parametrize("p, step, eta_inf", _SAMPLED)
+    def test_march_nodes_keep_the_marched_bits(self, p, step, eta_inf):
+        # the rows on march nodes, the last one included, are the march's
+        param, grid = make_parameter(p), GridSpec(step, eta_inf)
+        march = transform._march_grid(param, grid)
+        common = math.gcd(grid.step_count, march.step_count)
+        sampled = integrate_starred(param, grid).values[:: grid.step_count // common]
+        assert march.step_count < grid.step_count and len(sampled) == common + 1
+        assert sampled.tobytes() == _one_call(param, march)[:: march.step_count // common].tobytes()
+
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (1.1, "378300dd22258e4a8a451e65f16126e49b723e865428daa40570ec2f0061df4b"),
+            (1.5, "6b043f57bd311b0d5a88f8bd4b90020757c4a5026ed8631db5fa044fa5247d01"),
+            (1.9, "92598cd7753117f22883f164b1d7f1c5c41e7b864c904787f9fc0c14978a63db"),
+        ],
+    )
+    def test_shear_thickening_is_marched_on_the_callers_grid(self, p, digest):
+        # sha256 of the starred and physical rows, recorded before the sampler came
+        param, grid = make_parameter(p), GridSpec(1e-3, 10.0)
+        result = solve(param, step=1e-3, eta_inf=10.0)
+        assert transform._march_grid(param, grid) is grid
+        assert hashlib.sha256(result.starred.values.tobytes() + result.physical.values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (0.3, "54ec64c37f610ab5c79a09766590f74f87e569007b16bd4780e055753a5936a6"),
+            (1.0, "00117c5824b604607cc824e83002543c7631004683b31a582e15773df71c3eaf"),
+        ],
+    )
+    def test_sampled_bytes_are_pinned(self, p, digest):
+        # sha256 of the starred rows on the benchmark grid, recorded when the sampler came
+        assert hashlib.sha256(solve(make_parameter(p), step=1e-3, eta_inf=10.0).starred.values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0])
+    @pytest.mark.parametrize("step, eta_inf", [(1e-3, 10.0), (0.0032, 20.0), (1e-3, 40.0)])
+    def test_sampled_curvature_is_not_negative(self, p, step, eta_inf):
+        # before the projection: at P = 1 on E = 40 the march's f'' falls to 1e-323
+        param, grid = make_parameter(p), GridSpec(step, eta_inf)
+        states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, transform._march_grid(param, grid), (0.0, 0.0, 1.0))[1]
+        assert transform._sample(param, states, grid)[:, 2].min() >= 0.0
+
+    @pytest.mark.parametrize("p, rows", [(0.3, 1000), (1.5, 3677)])
+    def test_stepped_rows_on_the_benchmark_grid(self, p, rows, stepped_rows):
+        # P = 1.5 steps to its touchdown on the caller's grid, as before
+        assert stepped_rows(transform, lambda: solve(make_parameter(p), step=1e-3, eta_inf=10.0)) == rows
+
+    def test_peak_memory_of_a_million_rows(self):
+        # a march on the caller's grid peaked at 76.3 MiB (Python 3.11,
+        # numpy 2.4) and the sampled solve at 69.6 MiB, while it rescales
+        param = make_parameter(0.3)
+        solve(param, step=1e-3, eta_inf=10.0)
+        tracemalloc.start()
+        try:
+            result = solve(param, step=1e-5, eta_inf=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.starred.values.shape == (1_000_001, 3)
+        assert peak < 76 * 2**20
 
 
 class TestSolutionProfileValidation:
@@ -199,11 +286,12 @@ class TestFindTruncatedBoundary:
         result = solve_cached(0.3, eta_inf="auto")
         assert (result.starred.spacing, result.truncated_boundary) == (0.025, 640.0)
 
-    @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032)])
+    @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032), (1.0, 1e-3)])
     def test_profile_is_the_starred_integration(self, p, step):
         # the march across the candidate stops reproduces one integration
         # from the wall bit for bit; step 0.0032 does not divide the first
-        # candidate 5, so it pins counting stop rows from the wall
+        # candidate 5, so it pins counting stop rows from the wall.  At
+        # P = 1 both steps are sampled from the same march at 0.01
         param = make_parameter(p)
         searched = find_truncated_boundary(param, step)
         direct = integrate_starred(param, GridSpec(step, searched.abscissae[-1]))
@@ -558,16 +646,33 @@ class TestTaylorOracle:
     """mpmath's Taylor-series ``odefun`` at 25 digits, an oracle that shares
     neither the Runge-Kutta core nor double rounding with the package."""
 
+    @staticmethod
+    def starred(p):
+        """The starred IVP in the f'' form, P (P + 1) f''' = -f f''**(2 - P), from (0, 0, 1); call under ``workdps(25)``."""
+        P = mpmath.mpf(p)
+        return mpmath.odefun(lambda eta, y: [y[1], y[2], -y[0] * y[2] ** (2 - P) / (P * (P + 1))], 0, [0, 0, 1])
+
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_wall_curvature_on_the_benchmark_boundary(self, p):
-        # the starred IVP in the f'' form, P (P + 1) f''' = -f f''**(2 - P)
-        # from (0, 0, 1), to E = 10; f''(0) = f*'(10)**(-3/(P + 1)).  The
-        # solves err 9.3e-15 / 7.2e-16 at P = 0.5 and 2.2e-14 / 1.6e-15 at
-        # P = 1: at step 1e-3 the roundoff of 10k steps outweighs the
-        # truncation error of step 0.025
+        # f''(0) = f*'(10)**(-3/(P + 1)) on E = 10.  The solves err
+        # 1.6e-15 / 7.2e-16 at P = 0.5 and 2.7e-15 / 1.6e-15 at P = 1, at
+        # steps 1e-3 / 0.025.  Step 1e-3 is sampled from a march at 0.01;
+        # a march at 1e-3 erred 9.3e-15 and 2.2e-14, the roundoff of its
+        # 10k steps
         with mpmath.workdps(25):
-            P = mpmath.mpf(p)
-            ivp = mpmath.odefun(lambda eta, y: [y[1], y[2], -y[0] * y[2] ** (2 - P) / (P * (P + 1))], 0, [0, 0, 1])
-            exact = float(ivp(10)[1] ** (-3 / (P + 1)))
-        for step, bound in ((1e-3, 5e-14), (0.025, 5e-15)):
-            assert abs(solve(make_parameter(p), step=step, eta_inf=10.0).skin_friction - exact) <= bound
+            exact = float(self.starred(p)(10)[1] ** (-3 / (mpmath.mpf(p) + 1)))
+        for step in (1e-3, 0.025):
+            assert abs(solve(make_parameter(p), step=step, eta_inf=10.0).skin_friction - exact) <= 5e-15
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_sampled_rows_between_march_nodes(self, p):
+        # rows 123, 3567 and 9999 of the step-1e-3 grid lie inside march
+        # intervals.  Worst, relative to max(1, |column|): 3.2e-14, in f
+        # at eta* = 9.999 and P = 1, where a march at 1e-3 was 2.6e-13 off
+        starred = solve(make_parameter(p), step=1e-3, eta_inf=10.0).starred
+        with mpmath.workdps(25):
+            ivp = self.starred(p)
+            for row in (123, 3567, 9999):
+                exact = [float(v) for v in ivp(mpmath.mpf(row) / 1000)]
+                for value, reference in zip(starred.values[row], exact):
+                    assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), (row, value, reference)
