@@ -272,9 +272,10 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     as :func:`integrate_starred` does, so the profile equals that one
     bit for bit and a blow-up reports its time from the wall.  Only a
     candidate the step divides (GridSpec's 1e-12 rule) is tested, so a
-    step that does not divide 5 lands on the later candidates.  The test is signed,
-    f*''(E) < 1e-8: for P > 1 the stored curvature past the touchdown
-    may be an undershoot, which the final projection zeroes.
+    step that does not divide 5 lands on the later candidates.  The
+    test is signed, f*''(E) < 1e-8: for P > 1 the stored curvature past
+    the touchdown may be an undershoot, which the final projection
+    zeroes.
 
     Raises ``ValueError`` before marching when the step divides no
     candidate, and when 5 spans fewer than ten steps or a candidate reached
@@ -349,11 +350,11 @@ def solve(
     10.0; with the default step 1e-3 that is the published benchmark
     grid).  For P <= 1 a step finer than 0.01 is filled by
     interpolation from a march at about 0.01, see the module docstring.
-    ``eta_inf="auto"`` takes the starred
-    profile the boundary search :func:`find_truncated_boundary`
-    integrated, in one search; with no ``step`` it searches at 0.025
-    for P <= 1 and at 1e-3 for P > 1.  The boundary must be an integer
-    multiple of the step, else :class:`GridSpec` raises ``ValueError``.
+    ``eta_inf="auto"`` takes the starred profile the boundary search
+    :func:`find_truncated_boundary` integrated, in one search; with no
+    ``step`` it searches at 0.025 for P <= 1 and at 1e-3 for P > 1.  The
+    boundary must be an integer multiple of the step, else
+    :class:`GridSpec` raises ``ValueError``.
     """
     if step is None:
         step = _AUTO_STEP if eta_inf == "auto" and param.p <= 1.0 else _DEFAULT_STEP
