@@ -21,25 +21,33 @@ literature's lam = s**((2P-1)/(P+1)) = s**(1/(1 - delta)) is only
 reported; at P = 1 the sign-flipped 1/(delta - 1) would give f''(0)
 ~ 3.01 instead of 0.332057336215.
 
-Each integration is one ``integrate`` call, which stops stepping at
-the P > 1 touchdown: past it f' is constant and f linear, and the
-stepping loop's constant-derivative rows fill the rest.
+Each march, and each P > 1 tail below, is one ``integrate`` call,
+which stops stepping at the P > 1 touchdown: past it f' is constant
+and f linear, and the stepping loop's constant-derivative rows fill
+the rest.
 
-The step of a solve is the spacing of the profile it returns.  For
-P <= 1 a grid finer than 0.01 is not marched: the march runs at about
-0.01 and quintic Hermite interpolation fills the caller's grid from it
+The step of a solve is the spacing of the profile it returns.  A grid
+finer than 0.01 is not marched: the march runs at about 0.01 and
+quintic Hermite interpolation fills the caller's grid from it
 (:func:`_sample`).  Every output node on a march node, the last one
 included, keeps the marched bits, and f''(0) comes from that last row:
 the 10k steps of the benchmark grid (step 1e-3) only added roundoff to
-it.  P > 1 marches on the caller's grid, because the scheme loses
-order across the touchdown.
+it.  At P > 1 only the march's head is sampled.  With v = f''**(P-1),
+f'''/f'' = -f / (P(P+1) v), and the m-th derivative of f'' grows like
+v**-m relative to it as v falls to 0 at the touchdown.  So from the
+last march node before v falls below 0.1 one ``integrate`` call steps
+the caller's grid on through the touchdown (515 rows of the benchmark
+grid at P = 1.5, where a march on it stepped 3,677).  Below P ~ 0.008,
+where 0.01 is more than 0.05 of the starred unit length
+(P(P+1))**(1/3), the caller's grid is marched.
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the search extends one march candidate by candidate, 5, 10, 20, ...,
 and accepts the first whose wall shear has decayed.  When the caller
 gives no step, that one search runs at step 0.025 for P <= 1 and at
-the benchmark step 1e-3 for P > 1.  A search and a fixed boundary on
-the same grid give the same profile bit for bit.
+the benchmark step 1e-3 for P > 1, the grid its tail is stepped on.  A
+search and a fixed boundary on the same grid give the same profile bit
+for bit.
 """
 
 from __future__ import annotations
@@ -147,11 +155,31 @@ _DEFAULT_STEP = 1e-3
 #: at half the step, far below the truncation error the boundary keeps.
 _AUTO_STEP = 0.025
 
-#: March step of a P <= 1 grid finer than it; :func:`_sample` fills the
-#: grid.  It is not ``_AUTO_STEP``: there the sampled f'' is 1.9e-9 off
+#: March step of a grid finer than it; :func:`_sample` fills the grid.
+#: It is not ``_AUTO_STEP``: there the sampled f'' is 1.9e-9 off
 #: a step-1e-3 march at P = 0.01 and 6.8e-11 at P = 0.05, where f''''
 #: is large; at 0.01 the worst is 7.8e-12, at P = 0.01.
 _MARCH_STEP = 0.01
+
+#: Largest kappa = ``_MARCH_STEP`` / (P(P+1))**(1/3) that is marched at
+#: ``_MARCH_STEP``: (P(P+1))**(1/3) is the starred problem's unit length,
+#: and at kappa = 0.05 the sampled f'' is about 1e-11 off a march on the
+#: caller's grid.  Below P ~ 0.008 the caller's grid is marched: at
+#: P = 1e-6 the sampled f''(0) was 73923.99 against 73911.37.
+_MAX_KAPPA = 0.05
+
+#: At P > 1 the caller's grid is stepped from the last march node before
+#: the first with v = max(f'', 0)**(P-1) below this, through the
+#: touchdown: the m-th derivative of f'' grows like v**-m relative to
+#: it there, which the Hermite fill of f'' cannot follow.  Over 52 P in
+#: [1.001, 1.999] on the grids (step, E) = (1e-3, 10), (0.0032, 20),
+#: (1e-3, 5) and (0.005, 10) each column is then within 1.1e-12 of its
+#: largest value of a march on the caller's grid, and f''(0) within
+#: 2.1e-14.  The benchmark grid steps 515 rows at P = 1.5.  0.2 to 0.5
+#: (worst 3.3e-13) stepped 655 to 1,175 there; 0.05 was 2.9e-11 off at
+#: P = 1.84.  One or two march rows back from the touchdown, in place
+#: of a v test, left f'' 4e-4 and 6.8e-8 off.
+_TAIL_SWITCH = 0.1
 
 
 #: Truncated-boundary search: the first candidate, the wall shear
@@ -183,17 +211,20 @@ def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) ->
 def _march_grid(param: ModelParameter, grid: GridSpec) -> GridSpec:
     """The grid the starred IVP is marched on to fill ``grid``.
 
-    For P <= 1, n = max(10, round(E / ``_MARCH_STEP``)) steps over the
-    same [0, E] when that is fewer than ``grid`` has; else ``grid``.
+    n = max(10, round(E / ``_MARCH_STEP``)) steps over the same [0, E]
+    when that is fewer than ``grid`` has, at every P where
+    kappa = ``_MARCH_STEP`` / (P(P+1))**(1/3) is at most ``_MAX_KAPPA``;
+    else ``grid``.  At P > 1 the rows from the touchdown's approach on
+    are stepped on ``grid`` again (:func:`_starred_profile`).
     """
     n = max(10, round(grid.endpoint / _MARCH_STEP))
-    if param.p > 1.0 or n >= grid.step_count:
+    if n >= grid.step_count or _MARCH_STEP > _MAX_KAPPA * (param.p * (param.p + 1.0)) ** (1.0 / 3.0):
         return grid
     return GridSpec(grid.endpoint / n, grid.endpoint)
 
 
-def _sample(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Rows (f, f', f'') at the nodes of ``grid`` from the march ``states`` on a coarser grid over [0, E].
+def _sample(param: ModelParameter, states: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """``out`` with its N + 1 rows (f, f', f'') sampled from the march ``states`` at step ``h`` over the same span.
 
     Each march interval is filled by quintic Hermite interpolation
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): f from
@@ -201,12 +232,16 @@ def _sample(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> np.nda
     at both of its ends, with f''' = -f g**(2-P) / c and f'''' =
     -(f' g**(2-P) + (2-P) f g**(1-P) f''') / c from the ODE (g = f'',
     c = P(P+1)), so no stage is added.  Node i of the N-step grid lies in
-    march interval j = (i n) // N at theta = (i n mod N) / N, from
-    integers, so every node on a march node, the last one included,
-    keeps the marched row bit for bit.  Each column is one Horner pass
-    in theta over the nodes, with one gather buffer.
+    march interval (i n) // N at theta = (i n mod N) / N, from integers,
+    so every node on a march node, the last one included, keeps the
+    marched row bit for bit.  Both repeat with the period D = N / gcd(n, N)
+    nodes, d = n / gcd(n, N) intervals: node b D + r lies in interval
+    b d + (r d) // D at theta = (r d mod D) / D, the same double.  Each
+    column is one Horner pass in theta over the (gcd(n, N), D) array of
+    nodes, with one gather buffer, so the sampler holds two arrays the
+    size of ``out``.
     """
-    n, N = len(states) - 1, grid.step_count
+    n, N = len(states) - 1, len(out) - 1
     p, c = param.p, param.p * (param.p + 1.0)
     f, df, d2f = states.T
     g = np.maximum(d2f, 0.0)  # the clamp window counts as zero, as in the RHS
@@ -214,10 +249,11 @@ def _sample(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> np.nda
     d3f = -f * power / c
     d4f = -(df * power + (2.0 - p) * f * g ** (1.0 - p) * d3f) / c
     derivatives = (f, df, d2f, d3f, d4f)
-    h = grid.endpoint / n
-    j, theta = np.divmod(np.arange(N) * n, N)
-    theta = theta / N
-    out, gathered = np.empty((N + 1, 3)), np.empty(N)
+    common = math.gcd(n, N)
+    d, D = n // common, N // common
+    offset, theta = np.divmod(np.arange(D) * d, D)
+    theta = theta / D
+    column, gathered = np.empty((common, D)), np.empty((common, D))
     for m in range(3):
         u, du, ddu = derivatives[m : m + 3]
         delta, a, b = u[1:] - u[:-1], h * du[:-1], h * h * ddu[:-1]
@@ -230,20 +266,46 @@ def _sample(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> np.nda
             -15.0 * delta + 8.0 * a + 7.0 * a1 + (3.0 * b - 2.0 * b1) / 2.0,
             6.0 * delta - 3.0 * a - 3.0 * a1 - (b - b1) / 2.0,
         )
-        column = coefficients[-1][j]
+        # mode "clip" (every offset is in range) writes to out= unbuffered
+        np.take(coefficients[-1].reshape(common, d), offset, axis=1, out=column, mode="clip")
         for coefficient in coefficients[-2::-1]:
             column *= theta
-            column += np.take(coefficient, j, out=gathered)
-        out[:-1, m] = column
-    common = math.gcd(n, N)
-    out[:: N // common] = states[:: n // common]
+            column += np.take(coefficient.reshape(common, d), offset, axis=1, out=gathered, mode="clip")
+        out[:-1, m] = column.ravel()
+    out[::D] = states[::d]
     return out
 
 
 def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> SolutionProfile:
-    """The starred profile on ``grid`` from the rows marched over its [0, E], sampled when the march is coarser."""
-    if len(states) - 1 != grid.step_count:
-        states = _sample(param, states, grid)
+    """The starred profile on ``grid`` from the rows marched over its [0, E], sampled when the march is coarser.
+
+    At P > 1 only the head of a coarser march is sampled, up to row k:
+    the last march row on a node of ``grid`` before the first with
+    v = max(f'', 0)**(P-1) < ``_TAIL_SWITCH``, and at least ten steps of
+    ``grid`` before E.  From row k one ``integrate`` call steps ``grid``
+    on through the touchdown.  With no such first row the whole march is
+    sampled; when the head spans fewer than ten steps of ``grid`` (k = 0
+    included), ``grid`` is marched from the wall.
+    """
+    n, N = len(states) - 1, grid.step_count
+    if n != N:
+        common = math.gcd(n, N)
+        d, D = n // common, N // common  # march row q d is node q D of grid
+        q = common
+        if param.p > 1.0:
+            low = np.maximum(states[:, 2], 0.0) ** (param.p - 1.0) < _TAIL_SWITCH
+            if low.any():
+                q = min((int(low.argmax()) - 1) // d, (N - 10) // D)
+        if q * D < 10:
+            states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
+        else:
+            k, K = q * d, q * D
+            out = np.empty((N + 1, 3))
+            if K < N:  # first, so the stepped rows and the sampler's buffers are not held at once
+                tail = GridSpec(grid.step, (N - K) * grid.step)
+                out[K:] = integrate(model.ivp_rhs(param), COOPER_VERNER_8, tail, states[k])[1]
+            _sample(param, states[: k + 1], grid.endpoint / n, out[: K + 1])
+            states = out
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=model.project_curvature(param, states))
 
 
@@ -251,10 +313,12 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     """Integrate the model in starred variables from (0, 0, 1).
 
     The march runs on :func:`_march_grid`, and a coarser march is
-    sampled onto ``grid``.  The returned profile has f*''(0) = 1
-    exactly, non-negative curvature everywhere
-    (:func:`model.project_curvature` sets touchdown overshoot to zero)
-    and, for a converged boundary, a slope plateau near the endpoint.
+    sampled onto ``grid``, at P > 1 only up to the touchdown's approach,
+    from where ``grid`` is stepped (:func:`_starred_profile`).  The
+    returned profile has f*''(0) = 1 exactly, non-negative curvature
+    everywhere (:func:`model.project_curvature` sets touchdown overshoot
+    to zero) and, for a converged boundary, a slope plateau near the
+    endpoint.
     """
     states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, _march_grid(param, grid), (0.0, 0.0, 1.0))[1]
     return _starred_profile(param, states, grid)
@@ -267,15 +331,15 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
     the Newtonian case E lands on the benchmark boundary 10).  The
     search extends one march from the wall candidate by candidate, at
-    the step of :func:`_march_grid` (0.01 for P <= 1 and a finer step),
-    and samples the accepted candidate's rows onto ``GridSpec(step, E)``
-    as :func:`integrate_starred` does, so the profile equals that one
-    bit for bit and a blow-up reports its time from the wall.  Only a
-    candidate the step divides (GridSpec's 1e-12 rule) is tested, so a
-    step that does not divide 5 lands on the later candidates.  The
-    test is signed, f*''(E) < 1e-8: for P > 1 the stored curvature past
-    the touchdown may be an undershoot, which the final projection
-    zeroes.
+    the step of :func:`_march_grid` (0.01 for a finer step), and fills
+    ``GridSpec(step, E)`` from the accepted candidate's rows as
+    :func:`integrate_starred` does, the P > 1 tail included, so the
+    profile equals that one bit for bit and a blow-up reports its time
+    from the wall.  Only a candidate the step divides (GridSpec's 1e-12
+    rule) is tested, so a step that does not divide 5 lands on the later
+    candidates.  The test is signed, f*''(E) < 1e-8: for P > 1 the
+    stored curvature past the touchdown may be an undershoot, which the
+    final projection zeroes.
 
     Raises ``ValueError`` before marching when the step divides no
     candidate, and when 5 spans fewer than ten steps or a candidate reached
@@ -348,8 +412,10 @@ def solve(
     Two knobs set the starred grid: ``step``, the spacing of the
     returned profiles, and the truncated boundary ``eta_inf`` (default
     10.0; with the default step 1e-3 that is the published benchmark
-    grid).  For P <= 1 a step finer than 0.01 is filled by
-    interpolation from a march at about 0.01, see the module docstring.
+    grid).  A step finer than 0.01 is filled by interpolation from a
+    march at about 0.01, at P > 1 up to the touchdown's approach and
+    stepped on from there, and below P ~ 0.008 it is marched; see the
+    module docstring.
     ``eta_inf="auto"`` takes the starred profile the boundary search
     :func:`find_truncated_boundary` integrated, in one search; with no
     ``step`` it searches at 0.025 for P <= 1 and at 1e-3 for P > 1.  The

@@ -262,7 +262,7 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c3fb9e7cd66f6e98d3865422548989a273d3460de05e7109d20572d8ae4f54f1"
+            "9394ef5f4f18d3aaf40c3ec5d765ab03dc3e1010050db6a3c1a306fe9b629774"
         )
 
     def test_bracket_reach_is_stated_in_help(self, capsys):

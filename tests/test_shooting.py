@@ -191,7 +191,7 @@ _VALIDATE_ROOTS = {
     0.4: "0x1.66ce1aa2ff541p-2",
     0.8: "0x1.4b4f0e3888226p-2",
     1.0: "0x1.5406d69e2309dp-2",
-    1.5: "0x1.7587312e3a9cfp-2",
+    1.5: "0x1.7587312e3a9cdp-2",
 }
 
 

@@ -100,6 +100,23 @@ def _one_call_rows(param, step, stop):
     return integrate(stepping(param), COOPER_VERNER_8, GridSpec(step, stop * step), (0.0, 0.0, 1.0))[1]
 
 
+def _switch(param, grid):
+    """(k, K): the last row of the march that is sampled onto ``grid``, and its row there.
+
+    At P > 1 that is the row before the first with f''**(P-1) < 0.1,
+    rounded down to a row on a node of ``grid``; the caller's grid is
+    stepped from row K.  Else, and with no such row, the last row.
+    """
+    march = transform._march_grid(param, grid)
+    n, N = march.step_count, grid.step_count
+    low = _one_call(param, march)[:, 2] ** (param.p - 1.0) < 0.1
+    if param.p <= 1.0 or n == N or not low.any():
+        return n, N
+    d = n // math.gcd(n, N)
+    k = (int(low.argmax()) - 1) // d * d
+    return k, k * N // n
+
+
 class TestMarch:
     @pytest.mark.parametrize("step", [1e-3, 0.01])
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0, 1.1, 1.5, 1.7573, 1.7765, 1.84375, 1.9, 1.99])
@@ -107,13 +124,17 @@ class TestMarch:
         # past the P > 1 touchdown the rows are filled, not stepped, and
         # must be what stepping gives; at step 0.01 from
         # P = 1.757 up a stage undershoots the touchdown by more than 1e-2.
-        # At P <= 1 the step-1e-3 grid is sampled from a march at 0.01,
-        # whose rows are every tenth row of the profile
+        # The step-1e-3 grid is sampled from a march at 0.01, whose rows
+        # are every tenth row of the profile, at P > 1 up to the row the
+        # caller's grid is stepped from (TestTail)
         param, grid = make_parameter(p), GridSpec(step, 10.0)
         march = transform._march_grid(param, grid)
         stride = grid.step_count // march.step_count
-        assert stride == (10 if p <= 1.0 and step < 0.01 else 1)
-        assert integrate_starred(param, grid).values[::stride].tobytes() == _one_call(param, march).tobytes()
+        k, K = _switch(param, grid)
+        assert stride == (10 if step < 0.01 else 1)
+        assert k < march.step_count if p > 1.0 and stride > 1 else k == march.step_count
+        head = integrate_starred(param, grid).values[: K + 1 : stride]
+        assert head.tobytes() == _one_call(param, march)[: k + 1].tobytes()
 
     @pytest.mark.parametrize("p", [0.8, 1.5])
     @pytest.mark.parametrize("n", [10, 521, 522, 1024, 1025, 1033, 1034, 1536])
@@ -121,11 +142,27 @@ class TestMarch:
         param, grid = make_parameter(p), GridSpec(0.01, n * 0.01)
         assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
 
+    @pytest.mark.parametrize("p", [0.005, 1e-3, 1e-7])
+    def test_small_index_marches_the_callers_grid(self, p):
+        # (P(P+1))**(1/3) is the starred unit length; where 0.01 is more
+        # than 0.05 of it (P < 0.008) the march is not coarsened: sampled,
+        # f''(0) was 73923.99 against 73911.37 at P = 1e-6, and P = 1e-7
+        # raised CurvatureError
+        param, grid = make_parameter(p), GridSpec(1e-3, 10.0)
+        assert transform._march_grid(param, grid) is grid
+        result = solve(param, step=1e-3, eta_inf=10.0)
+        assert result.starred.values.tobytes() == _one_call(param, grid).tobytes()
+
     def test_stepping_stops_past_the_touchdown(self, stepped_rows):
-        # the step from the first row with f'' <= 0 is the first one not taken
+        # the step from the first row with f'' <= 0 is the first one not
+        # taken, by the march at 0.01 and by the tail on the caller's grid
         param, grid = make_parameter(1.5), GridSpec(1e-3, 10.0)
-        touchdown = int(np.argmax(_one_call(param, grid)[:, 2] == 0.0))
-        assert stepped_rows(transform, lambda: integrate_starred(param, grid)) == touchdown == 3677
+        march = _one_call(param, transform._march_grid(param, grid))
+        profile = integrate_starred(param, grid)
+        touchdown, K = int(np.argmax(profile.d2f == 0.0)), _switch(param, grid)[1]
+        stepped = stepped_rows(transform, lambda: integrate_starred(param, grid))
+        assert stepped == int(np.argmax(march[:, 2] == 0.0)) + touchdown - K == 515
+        assert touchdown == 3677
 
     @pytest.mark.parametrize("step", [1e-3, 0.01])
     @pytest.mark.parametrize("p", [0.8, 1.5])
@@ -183,16 +220,15 @@ class TestSample:
     @pytest.mark.parametrize(
         "p, digest",
         [
-            (1.1, "378300dd22258e4a8a451e65f16126e49b723e865428daa40570ec2f0061df4b"),
-            (1.5, "6b043f57bd311b0d5a88f8bd4b90020757c4a5026ed8631db5fa044fa5247d01"),
-            (1.9, "92598cd7753117f22883f164b1d7f1c5c41e7b864c904787f9fc0c14978a63db"),
+            (1.1, "b69647645ae24074be3cb33821f7feed094b30e0655a4b1204be89c9db8672d2"),
+            (1.5, "4f23509d64dfe05aa8efa5fee9b8127df1af7d3352c1cf0af02c6fad36f325a4"),
+            (1.9, "bfd5035aad1708ba515b786079efaacaa47503ecff109535e79e2c54bd942558"),
         ],
     )
-    def test_shear_thickening_is_marched_on_the_callers_grid(self, p, digest):
-        # sha256 of the starred and physical rows, recorded before the sampler came
-        param, grid = make_parameter(p), GridSpec(1e-3, 10.0)
-        result = solve(param, step=1e-3, eta_inf=10.0)
-        assert transform._march_grid(param, grid) is grid
+    def test_shear_thickening_bytes_are_pinned(self, p, digest):
+        # sha256 of the starred and physical rows, recorded when the tail
+        # on the caller's grid came
+        result = solve(make_parameter(p), step=1e-3, eta_inf=10.0)
         assert hashlib.sha256(result.starred.values.tobytes() + result.physical.values.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -211,27 +247,108 @@ class TestSample:
     def test_sampled_curvature_is_not_negative(self, p, step, eta_inf):
         # before the projection: at P = 1 on E = 40 the march's f'' falls to 1e-323
         param, grid = make_parameter(p), GridSpec(step, eta_inf)
-        states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, transform._march_grid(param, grid), (0.0, 0.0, 1.0))[1]
-        assert transform._sample(param, states, grid)[:, 2].min() >= 0.0
+        march = transform._march_grid(param, grid)
+        states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, march, (0.0, 0.0, 1.0))[1]
+        sampled = transform._sample(param, states, march.step, np.empty((grid.step_count + 1, 3)))
+        assert sampled[:, 2].min() >= 0.0
 
-    @pytest.mark.parametrize("p, rows", [(0.3, 1000), (1.5, 3677)])
+    @pytest.mark.parametrize("p, rows", [(0.3, 1000), (1.5, 515)])
     def test_stepped_rows_on_the_benchmark_grid(self, p, rows, stepped_rows):
-        # P = 1.5 steps to its touchdown on the caller's grid, as before
+        # P = 1.5 marches 368 rows to its touchdown at 0.01 and steps 147
+        # on the caller's grid from eta* = 3.53 to it, where one march on
+        # the caller's grid stepped 3,677
         assert stepped_rows(transform, lambda: solve(make_parameter(p), step=1e-3, eta_inf=10.0)) == rows
 
     def test_peak_memory_of_a_million_rows(self):
         # a march on the caller's grid peaked at 76.3 MiB (Python 3.11,
-        # numpy 2.4) and the sampled solve at 69.6 MiB, while it rescales
+        # numpy 2.4) and the sampled solve at 69.6 MiB, while it rescales.
+        # The starred profile alone peaked at 61.2 MiB with an interval
+        # index and theta per node, and at 39.1 MiB with one period of them
         param = make_parameter(0.3)
         solve(param, step=1e-3, eta_inf=10.0)
         tracemalloc.start()
         try:
             result = solve(param, step=1e-5, eta_inf=10.0)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            integrate_starred(param, GridSpec(1e-5, 10.0))
+            starred_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert result.starred.values.shape == (1_000_001, 3)
-        assert peak < 76 * 2**20
+        assert peak < 76 * 2**20 and starred_peak < 45 * 2**20
+
+
+#: P > 1 on the benchmark grid and on step 0.0032, E = 20, whose nodes
+#: meet the march's every 25th and whose tail starts on a multiple of 8
+#: march rows.  At P = 1.001 the touchdown lies past both boundaries.
+_SHEAR_THICKENING = [1.001, 1.05, 1.1, 1.5, 1.7765, 1.9, 1.99]
+_TAIL_GRIDS = [(1e-3, 10.0), (0.0032, 20.0)]
+
+
+class TestTail:
+    """At P > 1 the march at 0.01 is sampled up to the touchdown's approach; the caller's grid is stepped from there."""
+
+    @pytest.mark.parametrize("step, eta_inf", _TAIL_GRIDS)
+    @pytest.mark.parametrize("p", _SHEAR_THICKENING)
+    def test_within_bound_of_one_call_on_the_callers_grid(self, p, step, eta_inf):
+        # each value against max(1, |value|): worst 9.2e-13, in f'' at
+        # P = 1.7765 on the benchmark grid; f''(0) worst 1.4e-14, at P = 1.001
+        param = make_parameter(p)
+        marched = _one_call(param, GridSpec(step, eta_inf))
+        result = solve(param, step=step, eta_inf=eta_inf)
+        assert (np.abs(result.starred.values - marched) <= 1e-11 * np.maximum(1.0, np.abs(marched))).all()
+        assert abs(result.skin_friction - marched[-1, 1] ** (-3.0 / (p + 1.0))) <= 1e-13
+
+    @pytest.mark.parametrize("step, eta_inf", _TAIL_GRIDS)
+    @pytest.mark.parametrize("p", _SHEAR_THICKENING)
+    def test_head_keeps_the_marched_bits(self, p, step, eta_inf):
+        param, grid = make_parameter(p), GridSpec(step, eta_inf)
+        march = transform._march_grid(param, grid)
+        (k, K), common = _switch(param, grid), math.gcd(grid.step_count, march.step_count)
+        d, D = march.step_count // common, grid.step_count // common
+        assert 10 <= K and k % d == 0
+        head = integrate_starred(param, grid).values[: K + 1 : D]
+        assert head.tobytes() == _one_call(param, march)[: k + 1 : d].tobytes()
+
+    @pytest.mark.parametrize("step, eta_inf", _TAIL_GRIDS)
+    @pytest.mark.parametrize("p", _SHEAR_THICKENING[1:])
+    def test_tail_is_one_call_from_the_switch(self, p, step, eta_inf):
+        # the rows from row K on are one integrate call on the caller's
+        # grid from row K, through the touchdown
+        param, grid = make_parameter(p), GridSpec(step, eta_inf)
+        profile, K = integrate_starred(param, grid), _switch(param, grid)[1]
+        tail = GridSpec(step, (grid.step_count - K) * step)
+        rows = integrate(stepping(param), COOPER_VERNER_8, tail, profile.values[K])[1]
+        assert profile.d2f[K] > 0.0 and profile.d2f[-1] == 0.0
+        assert profile.values[K:].tobytes() == model.project_curvature(param, rows).tobytes()
+
+    @pytest.mark.parametrize("p, eta_inf", [(1.001, 10.0), (1.1, 5.0)])
+    def test_no_touchdown_is_sampled_whole(self, p, eta_inf, stepped_rows):
+        # the march keeps f''**(P-1) >= 0.1 to E: its every row is sampled
+        param, grid = make_parameter(p), GridSpec(1e-3, eta_inf)
+        march = transform._march_grid(param, grid)
+        assert _switch(param, grid) == (march.step_count, grid.step_count)
+        sampled = []
+        assert stepped_rows(transform, lambda: sampled.append(integrate_starred(param, grid))) == march.step_count
+        assert sampled[0].values[::10].tobytes() == _one_call(param, march).tobytes()
+
+    def test_tail_spans_at_least_ten_steps(self):
+        # E = 3.56 at step 0.005 ends two march rows past the first with
+        # v < 0.1 (row 354 of 356), so the tail would span 8 steps; it
+        # starts from row 702 of 712 instead
+        param, grid = make_parameter(1.5), GridSpec(0.005, 3.56)
+        profile = integrate_starred(param, grid)
+        rows = integrate(stepping(param), COOPER_VERNER_8, GridSpec(0.005, 10 * 0.005), profile.values[702])[1]
+        assert profile.values[702:].tobytes() == model.project_curvature(param, rows).tobytes()
+        marched = _one_call(param, grid)
+        assert np.abs(profile.values - marched).max() <= 1e-11
+
+    def test_grid_that_meets_the_march_only_at_the_ends_is_marched_from_the_wall(self):
+        # 10001 steps share no node with the march's 1000 but the wall and
+        # E, so no head can be sampled: k = 0
+        param, grid = make_parameter(1.5), GridSpec(10.0 / 10001, 10.0)
+        assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
 
 
 class TestSolutionProfileValidation:
@@ -286,12 +403,15 @@ class TestFindTruncatedBoundary:
         result = solve_cached(0.3, eta_inf="auto")
         assert (result.starred.spacing, result.truncated_boundary) == (0.025, 640.0)
 
-    @pytest.mark.parametrize("p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032), (1.0, 1e-3)])
+    @pytest.mark.parametrize(
+        "p, step", [(0.8, 0.01), (1.5, 0.01), (1.0, 0.0032), (1.0, 1e-3), (1.1, 1e-3), (1.5, 1e-3), (1.9, 1e-3)]
+    )
     def test_profile_is_the_starred_integration(self, p, step):
         # the march across the candidate stops reproduces one integration
         # from the wall bit for bit; step 0.0032 does not divide the first
         # candidate 5, so it pins counting stop rows from the wall.  At
-        # P = 1 both steps are sampled from the same march at 0.01
+        # P = 1 both steps are sampled from the same march at 0.01, and
+        # at P > 1 step 1e-3 is stepped from the same row on
         param = make_parameter(p)
         searched = find_truncated_boundary(param, step)
         direct = integrate_starred(param, GridSpec(step, searched.abscissae[-1]))
@@ -311,14 +431,14 @@ class TestFindTruncatedBoundary:
 
     def test_touchdown_carries_across_search_stops(self, stepped_rows):
         # at P = 1.1 the touchdown (row ~5780) lies past the first candidate
-        # 5, so the search marches on to 10 and must stop stepping there
-        param = make_parameter(1.1)
-        direct = integrate_starred(param, GridSpec(1e-3, 10.0))
-        touchdown = int(np.argmax(direct.d2f == 0.0))
-        searched = []
-        assert stepped_rows(transform, lambda: searched.append(find_truncated_boundary(param, 1e-3))) == touchdown
+        # 5, so the search marches on to 10 and must stop stepping there,
+        # and step on the caller's grid as the fixed solve does
+        param, direct, searched = make_parameter(1.1), [], []
+        fixed = stepped_rows(transform, lambda: direct.append(integrate_starred(param, GridSpec(1e-3, 10.0))))
+        touchdown = int(np.argmax(direct[0].d2f == 0.0))
+        assert stepped_rows(transform, lambda: searched.append(find_truncated_boundary(param, 1e-3))) == fixed == 815
         assert 5000 < touchdown and searched[0].abscissae[-1] == 10.0
-        assert searched[0].values.tobytes() == direct.values.tobytes()
+        assert searched[0].values.tobytes() == direct[0].values.tobytes()
 
     def test_blow_up_reports_time_from_the_wall(self, monkeypatch):
         # the state leaves the limit between the candidates 5 and 10; the
