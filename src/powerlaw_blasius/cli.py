@@ -209,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     step_help = (
-        "spacing of the returned profile; a finer one is marched at 0.01, except"
-        " near a P > 1 touchdown and below P = 0.008"
-        " (default 1e-3; 0.025 with --eta-inf auto and P <= 1)"
+        "spacing of the returned profile; a finer one is marched at 0.02 of (P(P+1))^(1/3) for P <= 1,"
+        " at 0.01 for P > 1 except near its touchdown (default 1e-3; 0.025 with --eta-inf auto and P <= 1)"
     )
     eta_inf_help = "starred truncated boundary, a real or 'auto' (default 10)"
 

@@ -27,19 +27,15 @@ and f linear, and the stepping loop's constant-derivative rows fill
 the rest.
 
 The step of a solve is the spacing of the profile it returns.  A grid
-finer than 0.01 is not marched: the march runs at about 0.01 and
-quintic Hermite interpolation fills the caller's grid from it
-(:func:`_sample`).  Every output node on a march node, the last one
-included, keeps the marched bits, and f''(0) comes from that last row:
-the 10k steps of the benchmark grid (step 1e-3) only added roundoff to
-it.  At P > 1 only the march's head is sampled.  With v = f''**(P-1),
-f'''/f'' = -f / (P(P+1) v), and the m-th derivative of f'' grows like
-v**-m relative to it as v falls to 0 at the touchdown.  So from the
-last march node before v falls below 0.1 one ``integrate`` call steps
-the caller's grid on through the touchdown (515 rows of the benchmark
-grid at P = 1.5, where a march on it stepped 3,677).  Below P ~ 0.008,
-where 0.01 is more than 0.05 of the starred unit length
-(P(P+1))**(1/3), the caller's grid is marched.
+finer than the march's is not marched: the march runs at P <= 1 at the
+step 1/m nearest below 0.02 of the starred unit length (P(P+1))**(1/3),
+at P > 1 at about 0.01, and quintic Hermite interpolation fills the
+caller's grid from it (:func:`_sample`), keeping the marched bits on
+every march node, the last one, which gives f''(0), included.  At P > 1
+only the march's head is sampled: from the last march node before
+v = f''**(P-1) falls below 0.1 one ``integrate`` call steps the
+caller's grid on through the touchdown (515 rows of the benchmark grid
+at P = 1.5, where a march on it stepped 3,677).
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 the search extends one march candidate by candidate, 5, 10, 20, ...,
@@ -58,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import BlowUpError, NoPlateauError
+from .errors import BlowUpError, CurvatureError, NoPlateauError
 from .model import ModelParameter
 from .runge_kutta import COOPER_VERNER_8, MAX_STEP_COUNT, GridSpec, integrate
 
@@ -155,30 +151,23 @@ _DEFAULT_STEP = 1e-3
 #: at half the step, far below the truncation error the boundary keeps.
 _AUTO_STEP = 0.025
 
-#: March step of a grid finer than it; :func:`_sample` fills the grid.
-#: It is not ``_AUTO_STEP``: there the sampled f'' is 1.9e-9 off
-#: a step-1e-3 march at P = 0.01 and 6.8e-11 at P = 0.05, where f''''
-#: is large; at 0.01 the worst is 7.8e-12, at P = 0.01.
-_MARCH_STEP = 0.01
+#: A P <= 1 grid finer than it is marched at step 1/m, the largest not
+#: above kappa of the starred unit length (P(P+1))**(1/3), and filled by
+#: :func:`_sample`.  At 0.02 sampled rows are within 8.6e-15 of mpmath
+#: (0.03 failed 1e-13) and each step is at most ``_AUTO_STEP``.
+_KAPPA = 0.02
 
-#: Largest kappa = ``_MARCH_STEP`` / (P(P+1))**(1/3) that is marched at
-#: ``_MARCH_STEP``: (P(P+1))**(1/3) is the starred problem's unit length,
-#: and at kappa = 0.05 the sampled f'' is about 1e-11 off a march on the
-#: caller's grid.  Below P ~ 0.008 the caller's grid is marched: at
-#: P = 1e-6 the sampled f''(0) was 73923.99 against 73911.37.
-_MAX_KAPPA = 0.05
+#: March step of a P > 1 grid finer than it.  A coarser head steps about
+#: as many rows as it saves: at P = 1.5 a 0.02 head (with a switch of
+#: 0.2) steps 481 rows and a kappa head (1/33) 799, against 515.
+_MARCH_STEP = 0.01
 
 #: At P > 1 the caller's grid is stepped from the last march node before
 #: the first with v = max(f'', 0)**(P-1) below this, through the
 #: touchdown: the m-th derivative of f'' grows like v**-m relative to
 #: it there, which the Hermite fill of f'' cannot follow.  Over 52 P in
-#: [1.001, 1.999] on the grids (step, E) = (1e-3, 10), (0.0032, 20),
-#: (1e-3, 5) and (0.005, 10) each column is then within 1.1e-12 of its
-#: largest value of a march on the caller's grid, and f''(0) within
-#: 2.1e-14.  The benchmark grid steps 515 rows at P = 1.5.  0.2 to 0.5
-#: (worst 3.3e-13) stepped 655 to 1,175 there; 0.05 was 2.9e-11 off at
-#: P = 1.84.  One or two march rows back from the touchdown, in place
-#: of a v test, left f'' 4e-4 and 6.8e-8 off.
+#: [1.001, 1.999] on four grids each column is then within 1.1e-12 of its
+#: largest value of a march on the caller's grid; 0.05 was 2.9e-11 off.
 _TAIL_SWITCH = 0.1
 
 
@@ -195,7 +184,8 @@ def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) ->
     ``states`` holds the rows already marched from the wall, at least
     one; one call from the last adds the rest.  A blow-up past row 0 is
     raised again by one call from ``states[0]`` to the stop, so it
-    reports the time that call reports.
+    reports the time that call reports; a curvature sign loss is raised
+    as :func:`_sign_loss` words it.
     """
     rhs, done = model.ivp_rhs(param), len(states) - 1
     try:
@@ -205,22 +195,39 @@ def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) ->
         if done:
             integrate(rhs, COOPER_VERNER_8, GridSpec(step, stop * step), states[0])
         raise
-    return np.concatenate([states, rows[1:]])
+    except CurvatureError as exc:
+        raise _sign_loss(param, step, stop * step, exc) from None
+    return np.concatenate([states, rows[1:]]) if done else rows
+
+
+def _march_rate(param: ModelParameter) -> int:
+    """m: P <= 1 marches at step 1/m, the largest not above ``_KAPPA`` of the unit length (P(P+1))**(1/3)."""
+    return math.ceil(1.0 / (_KAPPA * (param.p * (param.p + 1.0)) ** (1.0 / 3.0)))
 
 
 def _march_grid(param: ModelParameter, grid: GridSpec) -> GridSpec:
-    """The grid the starred IVP is marched on to fill ``grid``.
+    """The grid the starred IVP is marched on to fill ``grid``: ``grid``, or when fewer, n steps over its [0, E].
 
-    n = max(10, round(E / ``_MARCH_STEP``)) steps over the same [0, E]
-    when that is fewer than ``grid`` has, at every P where
-    kappa = ``_MARCH_STEP`` / (P(P+1))**(1/3) is at most ``_MAX_KAPPA``;
-    else ``grid``.  At P > 1 the rows from the touchdown's approach on
-    are stepped on ``grid`` again (:func:`_starred_profile`).
+    n = max(10, round(E m)) at P <= 1 (:func:`_march_rate`), and
+    max(10, round(E / ``_MARCH_STEP``)) at P > 1.
     """
-    n = max(10, round(grid.endpoint / _MARCH_STEP))
-    if n >= grid.step_count or _MARCH_STEP > _MAX_KAPPA * (param.p * (param.p + 1.0)) ** (1.0 / 3.0):
-        return grid
-    return GridSpec(grid.endpoint / n, grid.endpoint)
+    n = max(10, round(grid.endpoint * _march_rate(param) if param.p <= 1.0 else grid.endpoint / _MARCH_STEP))
+    return grid if n >= grid.step_count else GridSpec(grid.endpoint / n, grid.endpoint)
+
+
+def _sign_loss(param: ModelParameter, step: float, endpoint: float, exc: CurvatureError) -> CurvatureError:
+    """``exc``, or where a P <= 1 march at ``step`` is coarser than ``_KAPPA`` of the unit length, one naming it."""
+    unit = (param.p * (param.p + 1.0)) ** (1.0 / 3.0)
+    if param.p > 1.0 or step <= _KAPPA * unit:
+        return exc
+    steps, on = math.ceil(endpoint * _march_rate(param)), f"on [0, {endpoint:g}]"
+    cure = f"a grid of {steps} steps {on} (step {endpoint / steps:.15g})"
+    if steps > MAX_STEP_COUNT:
+        cure = f"no grid of at most {MAX_STEP_COUNT:.0e} steps {on}"
+    return CurvatureError(
+        f"curvature sign lost at P={param.p:g}: step {step:g} is coarser than {_KAPPA:g} of the starred unit length"
+        f" (P(P+1))^(1/3) = {unit:.3g}; {cure} resolves it"
+    )
 
 
 def _sample(param: ModelParameter, states: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
@@ -282,10 +289,9 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
     At P > 1 only the head of a coarser march is sampled, up to row k:
     the last march row on a node of ``grid`` before the first with
     v = max(f'', 0)**(P-1) < ``_TAIL_SWITCH``, and at least ten steps of
-    ``grid`` before E.  From row k one ``integrate`` call steps ``grid``
-    on through the touchdown.  With no such first row the whole march is
-    sampled; when the head spans fewer than ten steps of ``grid`` (k = 0
-    included), ``grid`` is marched from the wall.
+    ``grid`` before E, and one ``integrate`` call steps ``grid`` on from
+    it.  With no such first row the whole march is sampled; when the head
+    spans fewer than ten steps of ``grid``, ``grid`` is marched from the wall.
     """
     n, N = len(states) - 1, grid.step_count
     if n != N:
@@ -315,13 +321,12 @@ def integrate_starred(param: ModelParameter, grid: GridSpec) -> SolutionProfile:
     The march runs on :func:`_march_grid`, and a coarser march is
     sampled onto ``grid``, at P > 1 only up to the touchdown's approach,
     from where ``grid`` is stepped (:func:`_starred_profile`).  The
-    returned profile has f*''(0) = 1 exactly, non-negative curvature
-    everywhere (:func:`model.project_curvature` sets touchdown overshoot
-    to zero) and, for a converged boundary, a slope plateau near the
-    endpoint.
+    profile has f*''(0) = 1 exactly, non-negative curvature everywhere
+    (touchdown overshoot is projected to zero) and, for a converged
+    boundary, a slope plateau near the endpoint.
     """
-    states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, _march_grid(param, grid), (0.0, 0.0, 1.0))[1]
-    return _starred_profile(param, states, grid)
+    march = _march_grid(param, grid)
+    return _starred_profile(param, _march(param, march.step, march.step_count, np.array([(0.0, 0.0, 1.0)])), grid)
 
 
 def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfile:
@@ -331,15 +336,14 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
     the Newtonian case E lands on the benchmark boundary 10).  The
     search extends one march from the wall candidate by candidate, at
-    the step of :func:`_march_grid` (0.01 for a finer step), and fills
-    ``GridSpec(step, E)`` from the accepted candidate's rows as
-    :func:`integrate_starred` does, the P > 1 tail included, so the
-    profile equals that one bit for bit and a blow-up reports its time
-    from the wall.  Only a candidate the step divides (GridSpec's 1e-12
-    rule) is tested, so a step that does not divide 5 lands on the later
-    candidates.  The test is signed, f*''(E) < 1e-8: for P > 1 the
-    stored curvature past the touchdown may be an undershoot, which the
-    final projection zeroes.
+    the step of :func:`_march_grid`, and fills ``GridSpec(step, E)``
+    from the accepted candidate's rows as :func:`integrate_starred`
+    does, the P > 1 tail included, so the profile equals that one bit
+    for bit and a blow-up reports its time from the wall.  Only a
+    candidate the step divides (GridSpec's 1e-12 rule) is tested, so a
+    step that does not divide 5 lands on the later candidates.  The test
+    is signed, f*''(E) < 1e-8: for P > 1 the stored curvature past the
+    touchdown may be an undershoot, which the final projection zeroes.
 
     Raises ``ValueError`` before marching when the step divides no
     candidate, and when 5 spans fewer than ten steps or a candidate reached
@@ -351,13 +355,10 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     fits = [E / step > MAX_STEP_COUNT or abs(round(E / step) * step - E) <= 1e-12 * E for E in ends]
     if not any(fits):
         raise ValueError(f"step {step!r} divides none of the candidates 5 to {ends[-1]:g}")
-    # the march step of the first candidate the step divides serves them
-    # all: each candidate is a multiple of 0.01, and the step is finer
-    # than the march's at every candidate it divides or at none
+    # the first candidate's march step serves all: each is a whole number of
+    # steps 1/m or 0.01 (past GridSpec's limits the march raises its error)
     first = ends[fits.index(True)]
-    march_step = step
-    if 10 <= first / step <= MAX_STEP_COUNT:  # else GridSpec's error is raised from the march
-        march_step = _march_grid(param, GridSpec(step, first)).step
+    march_step = _march_grid(param, GridSpec(step, first)).step if 10 <= first / step <= MAX_STEP_COUNT else step
     states = np.array([(0.0, 0.0, 1.0)])
     for endpoint, fit in zip(ends, fits):
         ratio = endpoint / step
@@ -412,10 +413,10 @@ def solve(
     Two knobs set the starred grid: ``step``, the spacing of the
     returned profiles, and the truncated boundary ``eta_inf`` (default
     10.0; with the default step 1e-3 that is the published benchmark
-    grid).  A step finer than 0.01 is filled by interpolation from a
-    march at about 0.01, at P > 1 up to the touchdown's approach and
-    stepped on from there, and below P ~ 0.008 it is marched; see the
-    module docstring.
+    grid).  A step finer than the march's (0.02 of the starred unit
+    length at P <= 1, about 0.01 at P > 1) is filled by interpolation
+    from the march, at P > 1 up to the touchdown's approach and stepped
+    on from there; see the module docstring.
     ``eta_inf="auto"`` takes the starred profile the boundary search
     :func:`find_truncated_boundary` integrated, in one search; with no
     ``step`` it searches at 0.025 for P <= 1 and at 1e-3 for P > 1.  The

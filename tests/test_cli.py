@@ -69,6 +69,23 @@ class TestSolveCommand:
         assert code == 2
         assert "outside laminar range" in err
 
+    @pytest.mark.parametrize(
+        "p, unit, cure",
+        [
+            ("1e-10", "0.000464", "a grid of 1077220 steps on [0, 10] (step 9.28315478732292e-06)"),
+            ("1e-300", "1e-100", "no grid of at most 1e+07 steps on [0, 10]"),
+        ],
+    )
+    def test_unresolved_small_index_names_the_unit_length(self, capsys, p, unit, cure):
+        # the benchmark step 1e-3 is coarser than the starred unit length
+        # (P(P+1))**(1/3) itself, and the march loses its curvature sign
+        code, out, err = run(capsys, "solve", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: curvature sign lost at P={p}: step 0.001 is coarser than 0.02 of the starred unit length"
+            f" (P(P+1))^(1/3) = {unit}; {cure} resolves it\n"
+        )
+
     def test_auto_boundary(self, capsys):
         code, out, _ = run(capsys, "solve", "--p", "1", "--eta-inf", "auto")
         assert code == 0
@@ -111,14 +128,15 @@ class TestSolveCommand:
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_auto_csv_export_golden(self, tmp_path, capsys):
-        # E = 20 at P = 0.8: the search's march passes its stops at eta* = 5
-        # and 10; the hashes are those of one integration from the wall
+        # E = 20 at P = 0.8: the search's march at step 1/45 passes its
+        # stops at eta* = 5 and 10; the hashes are those of one march from
+        # the wall, sampled onto the step 0.01
         prefix = tmp_path / "prof"
         argv = ["solve", "--p", "0.8", "--step", "0.01", "--eta-inf", "auto", "--out", str(prefix)]
         assert run(capsys, *argv)[0] == 0
         golden = {
-            "starred": "191a634dab717d79d89f1f4c01844359d861551b2d194b7fc16a63cab4e15f48",
-            "physical": "da63df936f8fc2b39193bae8cd3bf76193ce4742004e0d6b7028aa8aa469def2",
+            "starred": "db2467743b6c4ecbfc05cf7665dd9245830b9bc56351d9ca7442c085845620ab",
+            "physical": "772da081ef07a8585cff29ba3a8a16563b5af55fde4078afcd3112a543ab48d5",
         }
         for frame, digest in golden.items():
             data = (tmp_path / f"prof_{frame}.csv").read_bytes()
@@ -262,7 +280,7 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9394ef5f4f18d3aaf40c3ec5d765ab03dc3e1010050db6a3c1a306fe9b629774"
+            "9df2c091456861362bc52fcb564a4f0a6d1508d34d75e428f66608597eb5d3ac"
         )
 
     def test_bracket_reach_is_stated_in_help(self, capsys):

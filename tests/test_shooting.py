@@ -185,11 +185,11 @@ def _half_shots(grids):
 #: matched grid ends at the physical image of E, so these pin the last
 #: bits of the transform's starred slope too.
 _VALIDATE_ROOTS = {
-    0.1: "0x1.a7281f4c8f9e4p-1",
-    0.2: "0x1.f61c30c3f643ep-2",
-    0.3: "0x1.90e96626cda93p-2",
-    0.4: "0x1.66ce1aa2ff541p-2",
-    0.8: "0x1.4b4f0e3888226p-2",
+    0.1: "0x1.a7281f4c8f9d0p-1",
+    0.2: "0x1.f61c30c3f6454p-2",
+    0.3: "0x1.90e96626cda8cp-2",
+    0.4: "0x1.66ce1aa2ff546p-2",
+    0.8: "0x1.4b4f0e3888222p-2",
     1.0: "0x1.5406d69e2309dp-2",
     1.5: "0x1.7587312e3a9cdp-2",
 }

@@ -69,18 +69,20 @@ class TestIntegrateStarred:
         assert np.all(starred.df[first:] == starred.df[first])
 
     def test_final_row_below_window_rejected(self, monkeypatch):
-        # no later step checks the last stored row, so the projection must
-        real = transform.integrate
+        # no later step checks the last stored row, so the projection must;
+        # the march's last row is the profile's
+        param, grid, real = make_parameter(0.3), GridSpec(0.01, 10.0), transform.integrate
+        march = transform._march_grid(param, grid)
 
         def undershoot(rhs, tableau, grid, y0):
             eta, rows = real(rhs, tableau, grid, y0)
-            if grid.step_count == 1000:
+            if grid.step_count == march.step_count:
                 rows[-1, 2] = -1e-11
             return eta, rows
 
         monkeypatch.setattr(transform, "integrate", undershoot)
         with pytest.raises(CurvatureError, match="sign loss at row 1000"):
-            integrate_starred(make_parameter(0.3), GridSpec(0.01, 10.0))
+            integrate_starred(param, grid)
 
     def test_explicit_grid(self):
         profile = integrate_starred(make_parameter(1.0), GridSpec(0.01, 10.0))
@@ -124,34 +126,43 @@ class TestMarch:
         # past the P > 1 touchdown the rows are filled, not stepped, and
         # must be what stepping gives; at step 0.01 from
         # P = 1.757 up a stage undershoots the touchdown by more than 1e-2.
-        # The step-1e-3 grid is sampled from a march at 0.01, whose rows
-        # are every tenth row of the profile, at P > 1 up to the row the
-        # caller's grid is stepped from (TestTail)
+        # A coarser march (P <= 1 at step 1/m, P > 1 at 0.01 from step
+        # 1e-3) is sampled, and its rows on nodes of the profile are the
+        # profile's, at P > 1 up to the row the caller's grid is stepped
+        # from (TestTail).  At P = 0.05, m = 134 marches step 0.01 as given
         param, grid = make_parameter(p), GridSpec(step, 10.0)
         march = transform._march_grid(param, grid)
-        stride = grid.step_count // march.step_count
-        k, K = _switch(param, grid)
-        assert stride == (10 if step < 0.01 else 1)
-        assert k < march.step_count if p > 1.0 and stride > 1 else k == march.step_count
-        head = integrate_starred(param, grid).values[: K + 1 : stride]
-        assert head.tobytes() == _one_call(param, march)[: k + 1].tobytes()
+        n, N = march.step_count, grid.step_count
+        common, (k, K) = math.gcd(n, N), _switch(param, grid)
+        assert (n < N) == (step < 0.01 or 0.05 < p <= 1.0)
+        assert k < n if p > 1.0 and n < N else k == n
+        head = integrate_starred(param, grid).values[: K + 1 : N // common]
+        assert head.tobytes() == _one_call(param, march)[: k + 1 : n // common].tobytes()
 
     @pytest.mark.parametrize("p", [0.8, 1.5])
     @pytest.mark.parametrize("n", [10, 521, 522, 1024, 1025, 1033, 1034, 1536])
     def test_any_step_count(self, p, n):
-        param, grid = make_parameter(p), GridSpec(0.01, n * 0.01)
+        # on the march's own step (1/45 at P = 0.8, 0.01 at P = 1.5) the
+        # grid is marched as given, over any step count
+        param = make_parameter(p)
+        step = 0.01 if p > 1.0 else 1.0 / transform._march_rate(param)
+        grid = GridSpec(step, n * step)
+        assert transform._march_grid(param, grid) is grid
         assert integrate_starred(param, grid).values.tobytes() == _one_call(param, grid).tobytes()
 
-    @pytest.mark.parametrize("p", [0.005, 1e-3, 1e-7])
+    @pytest.mark.parametrize("p", [0.005, 1e-3, 1e-7, 1e-9])
     def test_small_index_marches_the_callers_grid(self, p):
-        # (P(P+1))**(1/3) is the starred unit length; where 0.01 is more
-        # than 0.05 of it (P < 0.008) the march is not coarsened: sampled,
-        # f''(0) was 73923.99 against 73911.37 at P = 1e-6, and P = 1e-7
-        # raised CurvatureError
+        # the march step follows the starred unit length (P(P+1))**(1/3):
+        # 1/292 at P = 0.005 and 1/500 at 1e-3 are sampled, and f''(0) is
+        # within 1e-13 of a march on the caller's grid; at P = 1e-7 (step
+        # 1/10773) and 1e-9 the caller's grid is marched.  A fixed march
+        # at 0.01 gave f''(0) = 73923.99 against 73911.37 at P = 1e-6, and
+        # P = 1e-7 raised CurvatureError
         param, grid = make_parameter(p), GridSpec(1e-3, 10.0)
-        assert transform._march_grid(param, grid) is grid
+        marched = _one_call(param, grid)
         result = solve(param, step=1e-3, eta_inf=10.0)
-        assert result.starred.values.tobytes() == _one_call(param, grid).tobytes()
+        assert (transform._march_grid(param, grid) is grid) == (p < 1e-3)
+        assert abs(result.skin_friction / marched[-1, 1] ** (-3.0 / (p + 1.0)) - 1.0) <= 1e-13
 
     def test_stepping_stops_past_the_touchdown(self, stepped_rows):
         # the step from the first row with f'' <= 0 is the first one not
@@ -191,17 +202,19 @@ class TestMarch:
         assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
 
 
-#: P <= 1 grids the march at 0.01 fills: the benchmark grid, and step
-#: 0.0032 on E = 20, whose nodes meet the march's only every 25th
-_SAMPLED = [(0.01, 1e-3, 10.0), (0.05, 1e-3, 10.0), (0.3, 1e-3, 10.0), (1.0, 1e-3, 10.0), (0.8, 0.0032, 20.0)]
+#: P <= 1 grids the march at step 1/m fills: the benchmark grid, step
+#: 1e-3 on E = 40, and step 0.0032 on E = 20, whose nodes meet the
+#: march's (m = 45) only every 225th
+_SAMPLED = [(0.001, 1e-3, 10.0), (0.01, 1e-3, 10.0), (0.05, 1e-3, 10.0), (0.3, 1e-3, 10.0), (0.5, 1e-3, 10.0)]
+_SAMPLED += [(1.0, 1e-3, 10.0), (0.99, 1e-3, 40.0), (0.8, 0.0032, 20.0)]
 
 
 class TestSample:
-    """A P <= 1 grid finer than 0.01 is filled by quintic Hermite interpolation from a march at 0.01."""
+    """A P <= 1 grid finer than the march's step 1/m is filled by quintic Hermite interpolation from the march."""
 
     @pytest.mark.parametrize("p, step, eta_inf", _SAMPLED)
     def test_within_bound_of_one_call_on_the_callers_grid(self, p, step, eta_inf):
-        # worst 7.8e-12, in f'' at P = 0.01, where f'''' is largest
+        # worst 2.7e-12, in f at P = 0.99 on E = 40
         param, grid = make_parameter(p), GridSpec(step, eta_inf)
         sampled, marched = integrate_starred(param, grid).values, _one_call(param, grid)
         for m in range(3):
@@ -234,12 +247,13 @@ class TestSample:
     @pytest.mark.parametrize(
         "p, digest",
         [
-            (0.3, "54ec64c37f610ab5c79a09766590f74f87e569007b16bd4780e055753a5936a6"),
-            (1.0, "00117c5824b604607cc824e83002543c7631004683b31a582e15773df71c3eaf"),
+            (0.3, "ec2c784c15040580c1de910beba61c657107438108961ab281b44c3f2e562908"),
+            (1.0, "de0f78364b3048ac8217ab0deb5582bd3c240e5e103fac38175461754f448f31"),
         ],
     )
     def test_sampled_bytes_are_pinned(self, p, digest):
-        # sha256 of the starred rows on the benchmark grid, recorded when the sampler came
+        # sha256 of the starred rows on the benchmark grid, recorded when
+        # the march step became 1/m (m = 69 at P = 0.3, 40 at P = 1)
         assert hashlib.sha256(solve(make_parameter(p), step=1e-3, eta_inf=10.0).starred.values.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0])
@@ -252,8 +266,10 @@ class TestSample:
         sampled = transform._sample(param, states, march.step, np.empty((grid.step_count + 1, 3)))
         assert sampled[:, 2].min() >= 0.0
 
-    @pytest.mark.parametrize("p, rows", [(0.3, 1000), (1.5, 515)])
+    @pytest.mark.parametrize("p, rows", [(0.05, 1340), (0.3, 690), (1.0, 400), (1.5, 515)])
     def test_stepped_rows_on_the_benchmark_grid(self, p, rows, stepped_rows):
+        # P <= 1 marches E m rows: m = ceil(1 / (0.02 (P(P+1))**(1/3))) is
+        # 134, 69 and 40, where a march at 0.01 stepped 1,000 at every P.
         # P = 1.5 marches 368 rows to its touchdown at 0.01 and steps 147
         # on the caller's grid from eta* = 3.53 to it, where one march on
         # the caller's grid stepped 3,677
@@ -410,7 +426,7 @@ class TestFindTruncatedBoundary:
         # the march across the candidate stops reproduces one integration
         # from the wall bit for bit; step 0.0032 does not divide the first
         # candidate 5, so it pins counting stop rows from the wall.  At
-        # P = 1 both steps are sampled from the same march at 0.01, and
+        # P = 1 both steps are sampled from the same march at 1/40, and
         # at P > 1 step 1e-3 is stepped from the same row on
         param = make_parameter(p)
         searched = find_truncated_boundary(param, step)
@@ -429,6 +445,28 @@ class TestFindTruncatedBoundary:
         assert result.truncated_boundary == 5.0
         assert result.starred.d2f[-1] == 0.0
 
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (0.6, "aaae6cb0b653bfb3c36563986a26213bc0395c07df641f3b3efac33858375e63"),
+            (1.0, "ad7d4cacf69f2c1fdd56604a04aad05bf21cb440b16e356bf748158665c11c31"),
+            (1.3, "3267307927f1ed5e88e2d16e7ed9556a333d719113b0abbc03da1ffeebbf00a6"),
+            (1.9, "cfaaa34189b6f35e0d715eff6beed07a7e3defe061ef638746a23b971deefa1c"),
+        ],
+    )
+    def test_default_auto_bytes_are_pinned(self, p, digest):
+        # sha256 of the starred and physical rows at the default step: at
+        # P <= 1 the search marches its step 0.025 as given, since the
+        # march step is at most 0.025 there; recorded at the fixed 0.01 march
+        result = solve(make_parameter(p), eta_inf="auto")
+        assert hashlib.sha256(result.starred.values.tobytes() + result.physical.values.tobytes()).hexdigest() == digest
+
+    def test_unresolved_search_names_the_unit_length(self):
+        # the search's step 0.025 is 54 times 0.02 of the unit length at
+        # P = 1e-10, and its march loses the curvature sign before 5
+        with pytest.raises(CurvatureError, match=re.escape("; a grid of 538610 steps on [0, 5] (step 9.28315")):
+            solve(make_parameter(1e-10), eta_inf="auto")
+
     def test_touchdown_carries_across_search_stops(self, stepped_rows):
         # at P = 1.1 the touchdown (row ~5780) lies past the first candidate
         # 5, so the search marches on to 10 and must stop stepping there,
@@ -443,13 +481,15 @@ class TestFindTruncatedBoundary:
     def test_blow_up_reports_time_from_the_wall(self, monkeypatch):
         # the state leaves the limit between the candidates 5 and 10; the
         # search must report the time one call from the wall reports
+        # on the march grid (step 1/69)
         monkeypatch.setattr(runge_kutta, "STATE_LIMIT", 10.0)
         param = make_parameter(0.3)
+        march = transform._march_grid(param, GridSpec(0.01, 10.0))
         with pytest.raises(BlowUpError) as whole:
-            integrate(model.ivp_rhs(param), COOPER_VERNER_8, GridSpec(0.01, 10.0), (0.0, 0.0, 1.0))
+            integrate(model.ivp_rhs(param), COOPER_VERNER_8, march, (0.0, 0.0, 1.0))
         with pytest.raises(BlowUpError) as err:
             find_truncated_boundary(param, 0.01)
-        assert whole.value.t == pytest.approx(7.72)
+        assert march.step_count == 690 and whole.value.t == pytest.approx(533 / 69)
         assert (type(err.value), str(err.value), err.value.t) == (type(whole.value), str(whole.value), whole.value.t)
 
     def test_doubling_cap_exhausted(self, monkeypatch):
@@ -479,6 +519,18 @@ class TestCandidatesTheStepDivides:
         fixed = solve(param, step=0.0032, eta_inf=boundary)
         assert searched.truncated_boundary == boundary
         assert searched.skin_friction == fixed.skin_friction
+        assert searched.starred.values.tobytes() == fixed.starred.values.tobytes()
+        assert searched.physical.values.tobytes() == fixed.physical.values.tobytes()
+
+    @pytest.mark.parametrize("p, step, boundary", [(0.3, 1e-3, 640.0)])
+    def test_march_step_divides_every_candidate(self, p, step, boundary):
+        # the march step 1/69 divides each candidate 5 * 2**j, so the one
+        # march the search extends to 640 is the fixed solve's march
+        param = make_parameter(p)
+        searched = solve(param, step=step, eta_inf="auto")
+        fixed = solve(param, step=step, eta_inf=boundary)
+        assert transform._march_grid(param, GridSpec(step, boundary)).step == 1.0 / 69.0
+        assert searched.truncated_boundary == boundary and searched.skin_friction == fixed.skin_friction
         assert searched.starred.values.tobytes() == fixed.starred.values.tobytes()
         assert searched.physical.values.tobytes() == fixed.physical.values.tobytes()
 
@@ -775,10 +827,10 @@ class TestTaylorOracle:
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_wall_curvature_on_the_benchmark_boundary(self, p):
         # f''(0) = f*'(10)**(-3/(P + 1)) on E = 10.  The solves err
-        # 1.6e-15 / 7.2e-16 at P = 0.5 and 2.7e-15 / 1.6e-15 at P = 1, at
-        # steps 1e-3 / 0.025.  Step 1e-3 is sampled from a march at 0.01;
-        # a march at 1e-3 erred 9.3e-15 and 2.2e-14, the roundoff of its
-        # 10k steps
+        # 1.8e-15 / 7.2e-16 at P = 0.5 and 1.6e-15 / 1.6e-15 at P = 1, at
+        # steps 1e-3 / 0.025.  Step 1e-3 is sampled from a march at 1/56
+        # and 1/40 (a march at 0.01 erred 1.6e-15 and 2.7e-15); a march at
+        # 1e-3 erred 9.3e-15 and 2.2e-14, the roundoff of its 10k steps
         with mpmath.workdps(25):
             exact = float(self.starred(p)(10)[1] ** (-3 / (mpmath.mpf(p) + 1)))
         for step in (1e-3, 0.025):
@@ -787,8 +839,10 @@ class TestTaylorOracle:
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_sampled_rows_between_march_nodes(self, p):
         # rows 123, 3567 and 9999 of the step-1e-3 grid lie inside march
-        # intervals.  Worst, relative to max(1, |column|): 3.2e-14, in f
-        # at eta* = 9.999 and P = 1, where a march at 1e-3 was 2.6e-13 off
+        # intervals.  Worst, relative to max(1, |column|): 8.6e-15, in f''
+        # at eta* = 3.567 and P = 1.  A march at 0.01 was 3.2e-14 off, in f
+        # at eta* = 9.999, and a march at 1e-3 2.6e-13 there; the march at
+        # 0.03 of the unit length (1/37 at P = 0.5) 2.3e-13, in f'' at 0.123
         starred = solve(make_parameter(p), step=1e-3, eta_inf=10.0).starred
         with mpmath.workdps(25):
             ivp = self.starred(p)
