@@ -172,9 +172,9 @@ def cmd_validate(args) -> int:
         # the oracle shoots on the transform's truncated physical domain,
         # since for P < 1 the domain, not the step, controls agreement; it
         # finds the root at step ~0.02, then certifies it at half that step
-        # (P <= 1) or by chord steps on this grid of step ~1e-3, not --step
-        grid = matched_grid(result, target_step=1e-3)
-        shot = solve_by_shooting(result.param, ShootingConfig(*_ORACLE_BRACKET, grid=grid, residual_tol=1e-10))
+        # (P <= 1) or by chord steps on matched_grid's step ~1e-3, not --step
+        config = ShootingConfig(*_ORACLE_BRACKET, grid=matched_grid(result), residual_tol=1e-10)
+        shot = solve_by_shooting(result.param, config)
         diff = abs(result.skin_friction - shot)
         ok = diff <= args.tol
         cells = [_fmt(result.skin_friction), _fmt(shot), f"{diff:.2e}", "ok" if ok else f"exceeds {args.tol:g}"]

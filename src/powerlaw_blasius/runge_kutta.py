@@ -1,7 +1,7 @@
 """Fixed-step explicit Runge-Kutta integration for small first-order systems.
 
 The boundary-layer solvers in this package integrate a three-component
-state (f, f', f'') over 10^4 - 10^6 uniform steps, so the stepping loop
+state (f, f', f'') over 10^2 - 10^6 uniform steps, so the stepping loop
 is straight-line Python over local floats: it is generated from the
 tableau on first use, once per tableau, state dimension and stage, and
 each step's state is stored through a flat view of the output array.

@@ -21,29 +21,29 @@ literature's lam = s**((2P-1)/(P+1)) = s**(1/(1 - delta)) is only
 reported; at P = 1 the sign-flipped 1/(delta - 1) would give f''(0)
 ~ 3.01 instead of 0.332057336215.
 
-Each march, and each P > 1 tail below, is one ``integrate`` call,
-which stops stepping at the P > 1 touchdown: past it f' is constant
-and f linear, and the stepping loop's constant-derivative rows fill
-the rest.
+Rows are stepped in one place, :func:`_march`: one ``integrate`` call
+extends the rows a grid already holds from the wall.  The call stops
+stepping at the P > 1 touchdown: past it f' is constant and f linear,
+and the stepping loop's constant-derivative rows fill the rest.
 
 The step of a solve is the spacing of the profile it returns.  A grid
-finer than the march's is not marched: the march runs at P <= 1 at the
-step 1/m nearest below 0.02 of the starred unit length (P(P+1))**(1/3),
-at P > 1 at about 0.01, and quintic Hermite interpolation fills the
-caller's grid from it (:func:`_sample`), keeping the marched bits on
-every march node, the last one, which gives f''(0), included.  At P > 1
-only the march's head is sampled: from the last march node before
-v = f''**(P-1) falls below 0.1 one ``integrate`` call steps the
-caller's grid on through the touchdown (515 rows of the benchmark grid
-at P = 1.5, where a march on it stepped 3,677).
+finer than the march's is not marched: the march runs at step 1/m, at
+P <= 1 the largest not above 0.02 of the starred unit length
+(P(P+1))**(1/3) and at P > 1 0.01, and quintic Hermite interpolation
+fills the caller's grid from it (:func:`_sample`), keeping the marched
+bits on every march node, the last one, which gives f''(0), included.
+At P > 1 only the march's head is sampled: from the last march node
+before v = f''**(P-1) falls below 0.1 the march goes on along the
+caller's grid through the touchdown (515 stepped rows on the benchmark
+grid at P = 1.5).
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
-the search extends one march candidate by candidate, 5, 10, 20, ...,
-and accepts the first whose wall shear has decayed.  When the caller
-gives no step, that one search runs at step 0.025 for P <= 1 and at
-the benchmark step 1e-3 for P > 1, the grid its tail is stepped on.  A
-search and a fixed boundary on the same grid give the same profile bit
-for bit.
+each candidate 5, 10, 20, ... extends one march as far as the fixed
+boundary there marches, and the first whose wall shear has decayed is
+accepted, so a search and a fixed boundary on the same grid give the
+same profile bit for bit.  When the caller gives no step, that one
+search runs at step 0.025 for P <= 1 and at the benchmark step 1e-3 for
+P > 1, the grid its tail is stepped on.
 """
 
 from __future__ import annotations
@@ -179,17 +179,17 @@ _DOUBLING_CAP = 10
 
 
 def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) -> np.ndarray:
-    """``states`` extended to row ``stop``: bit for bit the rows of one CV8 ``integrate`` call from ``states[0]``.
+    """``states`` extended to row ``stop`` of the grid of ``step`` by one CV8 ``integrate`` call.
 
-    ``states`` holds the rows already marched from the wall, at least
-    one; one call from the last adds the rest.  A blow-up past row 0 is
-    raised again by one call from ``states[0]`` to the stop, so it
-    reports the time that call reports; a curvature sign loss is raised
-    as :func:`_sign_loss` words it.
+    ``states`` are the rows on that grid from the wall, at least one,
+    marched or sampled; one call from the last row adds the rest, so
+    marched rows extend bit for bit as one call from ``states[0]``
+    stores them.  A blow-up past row 0 is raised again by one call from
+    ``states[0]`` to the stop, so it reports its time from the wall; a
+    curvature sign loss is raised as :func:`_sign_loss` words it.
     """
     rhs, done = model.ivp_rhs(param), len(states) - 1
     try:
-        # a stop at row 0 still makes a grid, for GridSpec to reject
         rows = integrate(rhs, COOPER_VERNER_8, GridSpec(step, (stop - done) * step), states[-1])[1]
     except BlowUpError:
         if done:
@@ -201,17 +201,20 @@ def _march(param: ModelParameter, step: float, stop: int, states: np.ndarray) ->
 
 
 def _march_rate(param: ModelParameter) -> int:
-    """m: P <= 1 marches at step 1/m, the largest not above ``_KAPPA`` of the unit length (P(P+1))**(1/3)."""
+    """m, the march steps 1/m: 1/``_MARCH_STEP`` at P > 1, else the least with 1/m <= ``_KAPPA`` (P(P+1))**(1/3)."""
+    if param.p > 1.0:
+        return round(1.0 / _MARCH_STEP)
     return math.ceil(1.0 / (_KAPPA * (param.p * (param.p + 1.0)) ** (1.0 / 3.0)))
 
 
 def _march_grid(param: ModelParameter, grid: GridSpec) -> GridSpec:
     """The grid the starred IVP is marched on to fill ``grid``: ``grid``, or when fewer, n steps over its [0, E].
 
-    n = max(10, round(E m)) at P <= 1 (:func:`_march_rate`), and
-    max(10, round(E / ``_MARCH_STEP``)) at P > 1.
+    n = max(10, round(E m)), with m from :func:`_march_rate`.  Every
+    candidate 5 * 2**j of the boundary search is a whole number of steps
+    1/m, so a search extends one march.
     """
-    n = max(10, round(grid.endpoint * _march_rate(param) if param.p <= 1.0 else grid.endpoint / _MARCH_STEP))
+    n = max(10, round(grid.endpoint * _march_rate(param)))
     return grid if n >= grid.step_count else GridSpec(grid.endpoint / n, grid.endpoint)
 
 
@@ -289,9 +292,9 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
     At P > 1 only the head of a coarser march is sampled, up to row k:
     the last march row on a node of ``grid`` before the first with
     v = max(f'', 0)**(P-1) < ``_TAIL_SWITCH``, and at least ten steps of
-    ``grid`` before E, and one ``integrate`` call steps ``grid`` on from
-    it.  With no such first row the whole march is sampled; when the head
-    spans fewer than ten steps of ``grid``, ``grid`` is marched from the wall.
+    ``grid`` before E.  :func:`_march` steps ``grid`` on from the head.
+    With no such first row the whole march is sampled; when the head
+    spans fewer than ten steps of ``grid``, it is the wall row alone.
     """
     n, N = len(states) - 1, grid.step_count
     if n != N:
@@ -302,16 +305,9 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
             low = np.maximum(states[:, 2], 0.0) ** (param.p - 1.0) < _TAIL_SWITCH
             if low.any():
                 q = min((int(low.argmax()) - 1) // d, (N - 10) // D)
-        if q * D < 10:
-            states = integrate(model.ivp_rhs(param), COOPER_VERNER_8, grid, (0.0, 0.0, 1.0))[1]
-        else:
-            k, K = q * d, q * D
-            out = np.empty((N + 1, 3))
-            if K < N:  # first, so the stepped rows and the sampler's buffers are not held at once
-                tail = GridSpec(grid.step, (N - K) * grid.step)
-                out[K:] = integrate(model.ivp_rhs(param), COOPER_VERNER_8, tail, states[k])[1]
-            _sample(param, states[: k + 1], grid.endpoint / n, out[: K + 1])
-            states = out
+                q = q if q * D >= 10 else 0
+        head = _sample(param, states[: q * d + 1], grid.endpoint / n, np.empty((q * D + 1, 3))) if q else states[:1]
+        states = head if q == common else _march(param, grid.step, N, head)
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=model.project_curvature(param, states))
 
 
@@ -334,39 +330,35 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
 
     Operationalizes truncation "found by trial": the wall-shear decay
     |f*''(E)| < 1e-8 certifies that the slope has stopped changing (for
-    the Newtonian case E lands on the benchmark boundary 10).  The
-    search extends one march from the wall candidate by candidate, at
-    the step of :func:`_march_grid`, and fills ``GridSpec(step, E)``
-    from the accepted candidate's rows as :func:`integrate_starred`
-    does, the P > 1 tail included, so the profile equals that one bit
-    for bit and a blow-up reports its time from the wall.  Only a
-    candidate the step divides (GridSpec's 1e-12 rule) is tested, so a
+    the Newtonian case E lands on the benchmark boundary 10).  Each
+    candidate E the step divides (GridSpec's 1e-12 rule) extends one
+    march from the wall to :func:`_march_grid` of ``GridSpec(step, E)``,
+    and the accepted candidate's rows fill that grid as
+    :func:`integrate_starred` does, so the profile is the fixed-boundary
+    solve's bit for bit and a blow-up reports its time from the wall.  A
     step that does not divide 5 lands on the later candidates.  The test
     is signed, f*''(E) < 1e-8: for P > 1 the stored curvature past the
     touchdown may be an undershoot, which the final projection zeroes.
 
-    Raises ``ValueError`` before marching when the step divides no
-    candidate, and when 5 spans fewer than ten steps or a candidate reached
-    spans more than ``MAX_STEP_COUNT`` steps; :class:`NoPlateauError`
-    once the doubling cap (2**10 * 5) is exhausted.
+    Raises ``ValueError`` when the step divides no candidate, and, as
+    ``GridSpec`` does, when the first candidate it divides spans fewer
+    than ten steps or a candidate reached spans more than
+    ``MAX_STEP_COUNT``; :class:`NoPlateauError` once the doubling cap
+    (2**10 * 5) is exhausted.
     """
-    ends = [_SEARCH_START * 2.0**j for j in range(_DOUBLING_CAP + 1)]
-    # a candidate past the step cap counts as a fit: reaching it raises below
-    fits = [E / step > MAX_STEP_COUNT or abs(round(E / step) * step - E) <= 1e-12 * E for E in ends]
-    if not any(fits):
-        raise ValueError(f"step {step!r} divides none of the candidates 5 to {ends[-1]:g}")
-    # the first candidate's march step serves all: each is a whole number of
-    # steps 1/m or 0.01 (past GridSpec's limits the march raises its error)
-    first = ends[fits.index(True)]
-    march_step = _march_grid(param, GridSpec(step, first)).step if 10 <= first / step <= MAX_STEP_COUNT else step
     states = np.array([(0.0, 0.0, 1.0)])
-    for endpoint, fit in zip(ends, fits):
+    for endpoint in (_SEARCH_START * 2.0**j for j in range(_DOUBLING_CAP + 1)):
         ratio = endpoint / step
-        if ratio > MAX_STEP_COUNT:  # before round(): a subnormal step makes ratio inf
-            raise ValueError(f"endpoint/step = {ratio:.3g}: more than {MAX_STEP_COUNT:.0e} steps")
-        states = _march(param, march_step, round(endpoint / march_step), states)
-        if fit and states[-1, 2] < _SEARCH_TOL:
-            return _starred_profile(param, states, GridSpec(step, endpoint))
+        # past the step cap GridSpec raises; round() would fail on an inf ratio
+        if ratio <= MAX_STEP_COUNT and abs(round(ratio) * step - endpoint) > 1e-12 * endpoint:
+            continue
+        grid = GridSpec(step, endpoint)
+        march = _march_grid(param, grid)
+        states = _march(param, march.step, march.step_count, states)
+        if states[-1, 2] < _SEARCH_TOL:
+            return _starred_profile(param, states, grid)
+    if len(states) == 1:
+        raise ValueError(f"step {step!r} divides none of the candidates 5 to {endpoint:g}")
     raise NoPlateauError(f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint:g} (P={param.p:g})")
 
 

@@ -129,6 +129,17 @@ class TestButcherTableau:
         assert CLASSIC_RK4.stage_count == 4
         assert CLASSIC_RK4.declared_order == 4
 
+    def test_rejects_zero_stages(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            ButcherTableau(nodes=(), weights=(), coupling=(), declared_order=1)
+
+    @pytest.mark.parametrize(
+        "weights, coupling", [((1.0,), ((), (1.0,))), ((0.5, 0.5), ((),))], ids=["weights", "coupling"]
+    )
+    def test_rejects_stage_count_mismatch(self, weights, coupling):
+        with pytest.raises(ValueError, match="disagree on stage count"):
+            ButcherTableau(nodes=(0.0, 1.0), weights=weights, coupling=coupling, declared_order=1)
+
     def test_rejects_non_explicit_coupling(self):
         with pytest.raises(ValueError, match="explicit"):
             ButcherTableau(nodes=(0.0, 0.5), weights=(0.5, 0.5), coupling=((0.0,), (0.5,)), declared_order=2)

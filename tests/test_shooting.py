@@ -153,6 +153,22 @@ class TestSolveByShooting:
         root = solve_by_shooting(make_parameter(p), config)
         assert abs(shoot(make_parameter(p), root, config.grid)) < config.residual_tol
 
+    def test_secant_on_a_bracket_end_falls_back_to_the_midpoint(self, monkeypatch):
+        # a residual of -1e-300 at the lower end puts the secant root on
+        # that end, outside the open bracket: the shot goes to the middle
+        # of log f''(0), sqrt(0.1 * 2.5) = 0.5
+        real, guesses = shooting.shoot, []
+
+        def shoot_flat_low_end(param, guess, grid):
+            guesses.append(guess)
+            return -1e-300 if guess == 0.1 else real(param, guess, grid)
+
+        monkeypatch.setattr(shooting, "shoot", shoot_flat_low_end)
+        config = ShootingConfig(0.1, 2.5, grid=GridSpec(0.02, 10.0), residual_tol=1e-10)
+        root = solve_by_shooting(make_parameter(1.0), config)
+        assert guesses[2] == pytest.approx(0.5, rel=1e-15)
+        assert abs(real(make_parameter(1.0), root, config.grid)) < 1e-10
+
     def test_curvature_sign_loss_reports_guess(self):
         # a guess so large that the first step overshoots into negative
         # curvature is a diverged shot too, not a bare CurvatureError

@@ -84,6 +84,19 @@ class TestIntegrateStarred:
         with pytest.raises(CurvatureError, match="sign loss at row 1000"):
             integrate_starred(param, grid)
 
+    def test_sign_loss_on_a_resolving_step_passes_through(self, monkeypatch):
+        # the march step 1/69 is within 0.02 of the unit length at P = 0.3,
+        # so a sign loss there is not the step's: it is raised as it came
+        lost = CurvatureError("negative curvature f''=-0.5 at P=0.3")
+
+        def losing(rhs, tableau, grid, y0):
+            raise lost
+
+        monkeypatch.setattr(transform, "integrate", losing)
+        with pytest.raises(CurvatureError) as err:
+            integrate_starred(make_parameter(0.3), GridSpec(1e-3, 10.0))
+        assert err.value is lost
+
     def test_explicit_grid(self):
         profile = integrate_starred(make_parameter(1.0), GridSpec(0.01, 10.0))
         assert profile.frame == "starred"
@@ -294,6 +307,20 @@ class TestSample:
         assert result.starred.values.shape == (1_000_001, 3)
         assert peak < 76 * 2**20 and starred_peak < 45 * 2**20
 
+    def test_peak_memory_of_a_million_rows_past_the_touchdown(self):
+        # at P = 1.5 the head is sampled into its own K + 1 rows and the
+        # march goes on from them: 48.2 MiB (Python 3.11, numpy 2.4), where
+        # filling an output-sized array from the stepped tail peaked at 63.1 MiB
+        param = make_parameter(1.5)
+        integrate_starred(param, GridSpec(1e-3, 10.0))
+        tracemalloc.start()
+        try:
+            profile = integrate_starred(param, GridSpec(1e-5, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.values.shape == (1_000_001, 3) and peak < 55 * 2**20
+
 
 #: P > 1 on the benchmark grid and on step 0.0032, E = 20, whose nodes
 #: meet the march's every 25th and whose tail starts on a multiple of 8
@@ -502,8 +529,8 @@ class TestFindTruncatedBoundary:
             solve(make_parameter(1.0), step=1.0, eta_inf="auto")
 
     def test_start_below_one_step_rejected(self):
-        # 5 / 20 rounds to row 0: still a grid error, not a march that never steps
-        with pytest.raises(ValueError, match="endpoint must be positive, got 0.0"):
+        # 20 does not divide 5 or 10; the first candidate it divides is one step
+        with pytest.raises(ValueError, match=re.escape("endpoint/step = 1: need at least 10 steps")):
             solve(make_parameter(1.0), step=20.0, eta_inf="auto")
 
 
