@@ -2,12 +2,14 @@
 
 Shooting brackets the unknown wall curvature and iterates on it until
 the far-field slope hits one -- three to eight integrations against the
-transformation's single one, all on a coarse grid.  For P <= 1 one more
-shot at half the coarse step certifies the root (step doubling); for
-P > 1, or when the two coarse grids disagree, chord steps along the
-last coarse chord certify it on the fine grid instead, in one to three
-shots.  Because the two solvers share nothing but the Runge-Kutta
-stepper, agreement is strong evidence the scaling algebra is right.
+transformation's single one, all on a coarse grid.  For P <= 1 its step
+is 0.08 of the physical length of the shot at the bracket's upper end
+(0.039 here, at P = 0.3 with f''(0) <= 2), and one more shot at half
+that step certifies the root (step doubling); for P > 1, or when the
+two coarse grids disagree, chord steps along the last coarse chord
+certify it on the fine grid instead, in one to three shots.  Because
+the two solvers share nothing but the Runge-Kutta stepper, agreement
+is strong evidence the scaling algebra is right.
 
 One subtlety: for P < 1 the curvature decays only algebraically, so the
 truncated problem on [0, 10] and the truncated problem on [0, 17] have

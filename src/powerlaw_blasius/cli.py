@@ -171,8 +171,10 @@ def cmd_validate(args) -> int:
         result = solve(make_parameter(p), step=args.step)
         # the oracle shoots on the transform's truncated physical domain,
         # since for P < 1 the domain, not the step, controls agreement; it
-        # finds the root at step ~0.02, then certifies it at half that step
-        # (P <= 1) or by chord steps on matched_grid's step ~1e-3, not --step
+        # finds the root on a coarse grid (P <= 1: 0.08 of the length of the
+        # shot from the bracket's upper end; P > 1: ~0.02), then certifies it
+        # at half that step (P <= 1) or by chord steps on matched_grid's
+        # step ~1e-3, not --step
         config = ShootingConfig(*_ORACLE_BRACKET, grid=matched_grid(result), residual_tol=1e-10)
         shot = solve_by_shooting(result.param, config)
         diff = abs(result.skin_friction - shot)

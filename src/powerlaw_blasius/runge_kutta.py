@@ -49,7 +49,9 @@ RhsFunction = Callable[[float, tuple], Sequence[float]]
 STATE_LIMIT = 1e12
 
 #: Largest grid a GridSpec accepts: 10**7 steps store 240 MB of states
-#: and take minutes to step (the finest grid in use has 640 000).
+#: and take minutes to step.  The finest grid in use is about a quarter
+#: of it: ``eta_inf="auto"`` at P = 0.05 and step 1e-3 ends on E = 2560,
+#: 2 560 000 steps.
 MAX_STEP_COUNT = 10**7
 
 _CONSISTENCY_TOL = 1e-14

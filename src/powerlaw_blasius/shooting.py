@@ -9,11 +9,13 @@ scaling-group logic.
 The root finder works in log-log coordinates, log f''(0) against
 log f'(eta_inf), where the residual is close to a straight line.  An
 Illinois loop (Dowell & Jarratt, BIT 11, 1971) finds the root on a
-coarse grid with the caller's endpoint.  For P <= 1 one more shot at
-half the coarse step certifies it by step doubling (Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.4) when the two grids agree well inside
-the tolerance; otherwise, and always for P > 1, chord steps carry it
-onto the caller's grid.
+coarse grid with the caller's endpoint.  For P <= 1 its step is a fixed
+fraction of the physical length of the bracket's finest shot, the
+length the transform's march is set by too; for P > 1 it is 0.02.  For
+P <= 1 one more shot at half the coarse step certifies the root by step
+doubling (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4) when the two
+grids agree well inside the tolerance; otherwise, and always for P > 1,
+chord steps carry it onto the caller's grid.
 
 The boundary residual of a truncated problem depends on where the
 domain is truncated.  For P < 1 the curvature decays only algebraically,
@@ -34,10 +36,19 @@ from .transform import TransformResult
 
 __all__ = ["ShootingConfig", "shoot", "solve_by_shooting", "matched_grid"]
 
-#: Step of the coarse grid the root is found on.  A shot on it costs
-#: about 1/20 of one on a 1e-3 grid; a shot at half this step, or the
-#: chord steps on the caller's grid, then only certify the root.
+#: Step of the P > 1 coarse grid the root is found on.  A shot on it
+#: costs about 1/20 of one on a 1e-3 grid; the chord steps on the
+#: caller's grid then only certify the root.
 _COARSE_STEP = 0.02
+
+#: P <= 1 coarse step in units of the physical length of the shot at the
+#: bracket's upper end, (P(P+1))**(1/3) bracket_high**(-(2-P)/3), the
+#: finest of the bracket.  At P = 1 that shot loses its curvature sign
+#: from kappa = 0.178 (bracket_high = 2.5, on E = 14 and 231 alike) to
+#: 0.168 (bracket_high = 100); the loss starts higher below P = 1 (0.54
+#: at P = 0.9) and not below kappa = 1 at P <= 0.5.  This keeps a margin
+#: of two; the step is 0.074 at P = 1 and bracket_high = 2.5.
+_COARSE_KAPPA = 0.08
 
 #: Shots allowed in one solve, counted over every grid.
 _MAX_ITERATIONS = 100
@@ -93,24 +104,31 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
 
     Three phases, one grid each, on x = log f''(0), y = log f'(endpoint).
     Find: bracketed Illinois (regula falsi that halves a stale end's
-    value) runs on a grid of step ~``_COARSE_STEP`` with the caller's
-    endpoint, up to the first shot r_c within the tolerance; a caller
-    grid no finer than that is used alone.  Step doubling: for P <= 1
-    and a caller grid finer than half the coarse step, the root is shot
-    once at half the coarse step, r_h, and returned if |r_h| + |r_c - r_h|
-    + N ulp(1) < residual_tol, for the N steps of the caller's grid.  The
-    right-hand side is smooth there, so the order-8 error at the half
-    step is about |r_c - r_h|/255 and the caller's finer grid errs less
-    still; N ulp(1) allows for the rounding of its N steps, which the
-    pair does not see.  Caller's grid: otherwise, and always for P > 1,
-    where the touchdown breaks that error law, chord steps
-    x <- x - y (b - a)/(yb - ya) along the chord that gave the coarse
-    root go on there until |r| < residual_tol, free of the bracket.
-    Every shot counts against ``_MAX_ITERATIONS``.  Deterministic:
-    repeated runs are bit-identical.
+    value) runs on a coarse grid with the caller's endpoint, up to the
+    first shot r_c within the tolerance.  Its step is ~``_COARSE_KAPPA``
+    of (P(P+1))**(1/3) bracket_high**(-(2-P)/3) for P <= 1, the physical
+    length of the shot at the bracket's upper end, whose grid is the
+    finest any shot in the bracket needs; it is ~``_COARSE_STEP`` for
+    P > 1.  A caller grid no finer than that is used alone.  Step
+    doubling: for P <= 1 and a caller grid finer than half the coarse
+    step, the root is shot once at half the coarse step, r_h, and
+    returned if |r_h| + |r_c - r_h| + N ulp(1) < residual_tol, for the N
+    steps of the caller's grid.  The right-hand side is smooth there, so
+    the order-8 error at the half step is about |r_c - r_h|/255 and the
+    caller's finer grid errs less still; N ulp(1) allows for the rounding
+    of its N steps, which the pair does not see.  Caller's grid:
+    otherwise, and always for P > 1, where the touchdown breaks that
+    error law, chord steps x <- x - y (b - a)/(yb - ya) along the chord
+    that gave the coarse root go on there until |r| < residual_tol,
+    free of the bracket.  Every shot counts against ``_MAX_ITERATIONS``.
+    Deterministic: repeated runs are bit-identical.
     """
-    grid, tol = config.grid, config.residual_tol
-    n = max(10, round(grid.endpoint / _COARSE_STEP))
+    grid, tol, p = config.grid, config.residual_tol, param.p
+    if p > 1.0:
+        coarse = _COARSE_STEP
+    else:
+        coarse = _COARSE_KAPPA * (p * (p + 1.0)) ** (1.0 / 3.0) * config.bracket_high ** (-(2.0 - p) / 3.0)
+    n = max(10, round(min(grid.endpoint / coarse, grid.step_count)))
     on = GridSpec(grid.endpoint / n, grid.endpoint) if n < grid.step_count else grid
     shots = 0
 
@@ -156,7 +174,7 @@ def solve_by_shooting(param: ModelParameter, config: ShootingConfig) -> float:
     # half grid is cheaper than the caller's, and the caller's rounding,
     # one ulp of f' ~ 1 a step, leaves room
     slack = tol - grid.step_count * math.ulp(1.0)
-    if param.p <= 1.0 and 2 * n < grid.step_count and slack > 0.0:
+    if p <= 1.0 and 2 * n < grid.step_count and slack > 0.0:
         r_half = measure(guess, GridSpec(grid.endpoint / (2 * n), grid.endpoint))[0]
         if abs(r_half) + abs(r - r_half) < slack:
             return guess

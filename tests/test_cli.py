@@ -280,7 +280,7 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9df2c091456861362bc52fcb564a4f0a6d1508d34d75e428f66608597eb5d3ac"
+            "b418a24eb265bac87b0acb305f4e1dac0ed6135313b63351298f17b2cbe0466d"
         )
 
     def test_bracket_reach_is_stated_in_help(self, capsys):

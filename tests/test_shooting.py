@@ -196,17 +196,27 @@ def _half_shots(grids):
     return sum(g.step_count == 2 * grids[0].step_count for g in grids)
 
 
+def _unit_length(p, guess):
+    """Physical length (P(P+1))**(1/3) guess**(-(2-P)/3) of a shot from curvature ``guess``."""
+    return (p * (p + 1.0)) ** (1.0 / 3.0) * guess ** (-(2.0 - p) / 3.0)
+
+
+def _coarse_step(monkeypatch, p, high, step):
+    """Set the P <= 1 coarse grid of a bracket ending at ``high`` to ``step``."""
+    monkeypatch.setattr(shooting, "_COARSE_KAPPA", step / _unit_length(p, high))
+
+
 #: ``float.hex`` of the roots ``validate`` prints at its default P: bracket
 #: (0.05, 2.5), tolerance 1e-10, on ``matched_grid(solve(P))``.  The
 #: matched grid ends at the physical image of E, so these pin the last
 #: bits of the transform's starred slope too.
 _VALIDATE_ROOTS = {
-    0.1: "0x1.a7281f4c8f9d0p-1",
-    0.2: "0x1.f61c30c3f6454p-2",
-    0.3: "0x1.90e96626cda8cp-2",
-    0.4: "0x1.66ce1aa2ff546p-2",
-    0.8: "0x1.4b4f0e3888222p-2",
-    1.0: "0x1.5406d69e2309dp-2",
+    0.1: "0x1.a7281f4c8f9b7p-1",
+    0.2: "0x1.f61c30c3f6461p-2",
+    0.3: "0x1.90e96626cda93p-2",
+    0.4: "0x1.66ce1aa2ff571p-2",
+    0.8: "0x1.4b4f0e3888238p-2",
+    1.0: "0x1.5406d69e2306bp-2",
     1.5: "0x1.7587312e3a9cdp-2",
 }
 
@@ -251,10 +261,13 @@ class TestTwoLevelRootFinder:
         assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
 
     def test_budget_counts_shots_on_both_grids(self, monkeypatch):
+        # a budget of the coarse shots alone refuses the shot at half the
+        # coarse step that would certify the root
         config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.01, 10.0), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
         solve_by_shooting(make_parameter(1.0), config)
-        monkeypatch.setattr(shooting, "_MAX_ITERATIONS", sum(g != config.grid for g in grids))
+        assert len(set(grids)) == 2 and _half_shots(grids) == 1
+        monkeypatch.setattr(shooting, "_MAX_ITERATIONS", sum(g == grids[0] for g in grids))
         with pytest.raises(ConvergenceError, match="no convergence"):
             solve_by_shooting(make_parameter(1.0), config)
 
@@ -266,7 +279,7 @@ class TestTwoLevelRootFinder:
         # loop goes on inside the coarse bracket; one more shot is what the
         # secant step through the coarse slope needed too.  At 1e-10 the
         # shot at half the coarse step certifies the coarse root instead
-        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        _coarse_step(monkeypatch, p, bracket[1], 0.25)
         result = solve_cached(p)
         config = ShootingConfig(*bracket, grid=matched_grid(result, target_step=0.01), residual_tol=tol)
         grids = _recorded_grids(monkeypatch)
@@ -281,7 +294,7 @@ class TestTwoLevelRootFinder:
     def test_caller_grid_root_outside_the_last_coarse_bracket(self, solve_cached, monkeypatch):
         # on a coarse step of 0.25 at P = 0.6 the caller-grid root lies
         # beyond the last coarse bracket; the loop goes on in the first
-        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        _coarse_step(monkeypatch, 0.6, 10.0, 0.25)
         result = solve_cached(0.6)
         config = ShootingConfig(0.01, 10.0, grid=matched_grid(result, target_step=0.01), residual_tol=1e-13)
         root = solve_by_shooting(result.param, config)
@@ -294,6 +307,7 @@ class TestTwoLevelRootFinder:
         # P = 0.3), so only the coarse root lies inside; the chord steps on
         # the caller's grid leave the bracket by that offset
         monkeypatch.setattr(shooting, "_COARSE_STEP", coarse_step)
+        _coarse_step(monkeypatch, p, 2.5, coarse_step)
         result = solve_cached(p)
         grid = matched_grid(result)
         grids = _recorded_grids(monkeypatch)
@@ -308,7 +322,9 @@ class TestTwoLevelRootFinder:
         assert sum(g == grid for g in grids) <= 3
 
     def test_grid_coarser_than_search_grid_used_directly(self, monkeypatch):
-        config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.05, 10.0), residual_tol=1e-10)
+        # the coarse step is 0.1008 here, kappa of the length 2**(1/3) of the
+        # shot from the bracket's upper end f''(0) = 1
+        config = ShootingConfig(0.1, 1.0, grid=GridSpec(0.125, 10.0), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
         root = solve_by_shooting(make_parameter(1.0), config)
         assert grids and all(g == config.grid for g in grids)
@@ -334,7 +350,7 @@ class TestStepDoubling:
 
     def test_tolerance_the_pair_cannot_meet_falls_back_to_caller_grid(self, solve_cached, monkeypatch):
         # on a coarse step of 0.25 the two coarse grids differ by ~1e-11
-        monkeypatch.setattr(shooting, "_COARSE_STEP", 0.25)
+        _coarse_step(monkeypatch, 0.3, 2.5, 0.25)
         result = solve_cached(0.3)
         config = ShootingConfig(0.05, 2.5, grid=matched_grid(result, target_step=0.01), residual_tol=1e-11)
         grids = _recorded_grids(monkeypatch)
@@ -355,7 +371,9 @@ class TestStepDoubling:
 
     @pytest.mark.parametrize("target_step", [0.015, 0.01])
     def test_caller_grid_between_coarse_and_half_step_takes_no_half_shot(self, solve_cached, monkeypatch, target_step):
-        # a caller grid no finer than half the coarse step is as cheap to shoot
+        # a caller grid no finer than half the coarse step, here 0.02, is
+        # as cheap to shoot
+        _coarse_step(monkeypatch, 0.3, 2.5, 0.02)
         result = solve_cached(0.3)
         config = ShootingConfig(0.05, 2.5, grid=matched_grid(result, target_step=target_step), residual_tol=1e-10)
         grids = _recorded_grids(monkeypatch)
@@ -363,6 +381,47 @@ class TestStepDoubling:
         assert grids[0].step_count < config.grid.step_count < 2 * grids[0].step_count
         assert config.grid in grids and all(g in (grids[0], config.grid) for g in grids)
         assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+
+
+class TestCoarseGrid:
+    """At P <= 1 the coarse step is ``_COARSE_KAPPA`` of the bracket-end shot's length."""
+
+    @pytest.mark.parametrize("high", [2.5, 10.0])
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_step_count_follows_the_bracket_end_length(self, solve_cached, monkeypatch, p, high):
+        result = solve_cached(p)
+        config = ShootingConfig(0.05, high, grid=matched_grid(result), residual_tol=1e-10)
+        grids = _recorded_grids(monkeypatch)
+        solve_by_shooting(result.param, config)
+        coarse = shooting._COARSE_KAPPA * _unit_length(p, high)
+        assert grids[0].step_count == round(config.grid.endpoint / coarse)
+        assert grids[0].endpoint == config.grid.endpoint and grids[0].step_count < config.grid.step_count
+
+    @pytest.mark.parametrize("eta_inf", [10.0, 160.0])
+    def test_bracket_end_keeps_its_curvature_sign_at_twice_kappa(self, solve_cached, eta_inf):
+        # the shot from f''(0) = 2.5 at P = 1 loses its curvature sign
+        # from kappa = 0.178 of its length, on E = 14.4 and E = 231 alike,
+        # so the coarse grid keeps a margin of two
+        param, high = make_parameter(1.0), 2.5
+        endpoint = matched_grid(solve_cached(1.0, eta_inf=eta_inf)).endpoint
+
+        def grid_at(kappa):
+            return GridSpec(endpoint / round(endpoint / (kappa * _unit_length(1.0, high))), endpoint)
+
+        assert shoot(param, high, grid_at(2.0 * shooting._COARSE_KAPPA)) > 0.0
+        with pytest.raises(ShotDivergedError, match="negative curvature"):
+            shoot(param, high, grid_at(0.2))
+
+    @pytest.mark.parametrize("p", [0.04, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_root_agrees_with_the_fixed_step_grid(self, solve_cached, monkeypatch, p):
+        # the root is certified on the caller's grid and within 1e-13 of
+        # the root found on a coarse step of 0.02 (4.8e-14 at P = 0.04)
+        result = solve_cached(p)
+        config = ShootingConfig(0.05, 2.5, grid=matched_grid(result), residual_tol=1e-10)
+        root = solve_by_shooting(result.param, config)
+        assert abs(shoot(result.param, root, config.grid)) < config.residual_tol
+        _coarse_step(monkeypatch, p, 2.5, 0.02)
+        assert root == pytest.approx(solve_by_shooting(result.param, config), rel=1e-13, abs=0.0)
 
 
 class TestMatchedGrid:
