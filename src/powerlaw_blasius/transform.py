@@ -10,7 +10,8 @@ missing wall curvature:
    a = s**(1/(P+1)) of :mod:`powerlaw_blasius.model` maps it onto the
    physical far-field slope one;
 3. the missing wall curvature is f''(0) = s**(-3/(P+1)), and the full
-   physical profile follows from the pointwise group action
+   physical profile follows from the pointwise group action, which
+   :func:`rescale_profile` applies with the s it reads off itself
 
        eta = s**((2-P)/(P+1)) eta*,   f   = s**((1-2P)/(P+1)) f*,
        f'  = f*' / s,                 f'' = s**(-3/(P+1)) f*''.
@@ -63,7 +64,6 @@ __all__ = [
     "TransformResult",
     "integrate_starred",
     "find_truncated_boundary",
-    "recover_lambda",
     "rescale_profile",
     "solve",
 ]
@@ -124,21 +124,34 @@ class SolutionProfile:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Everything one non-iterative solve produces.
+    """Everything one non-iterative solve produces: the starred run and its physical rescaling.
 
-    ``lam`` is the reported group parameter, ``skin_friction`` the
-    recovered missing initial condition f''(0), and the two profiles are
-    the starred run and its physical rescaling.  ``truncated_boundary``
-    is the starred endpoint actually used.
+    The scalars are read from the profiles: the starred endpoint E
+    actually used, the slope s = f*'(E), the recovered f''(0) as the
+    physical wall curvature, and the reported group parameter lam =
+    s**((2P-1)/(P+1)) = s**(1/(1-delta)), 1 at P = 0.5, the literature's
+    scaling f = f*/lam, which the solve does not use.
     """
 
     param: ModelParameter
-    truncated_boundary: float
-    starred_slope_at_infinity: float
-    lam: float
-    skin_friction: float
     starred: SolutionProfile
     physical: SolutionProfile
+
+    @property
+    def truncated_boundary(self) -> float:
+        return float(self.starred.abscissae[-1])
+
+    @property
+    def starred_slope_at_infinity(self) -> float:
+        return float(self.starred.df[-1])
+
+    @property
+    def skin_friction(self) -> float:
+        return float(self.physical.d2f[0])
+
+    @property
+    def lam(self) -> float:
+        return self.starred_slope_at_infinity ** ((2.0 * self.param.p - 1.0) / (self.param.p + 1.0))
 
 
 #: Grid step when the caller picks none: the published benchmark step,
@@ -221,7 +234,7 @@ def _march_grid(param: ModelParameter, grid: GridSpec) -> GridSpec:
 def _sign_loss(param: ModelParameter, step: float, endpoint: float, exc: CurvatureError) -> CurvatureError:
     """``exc``, or where a P <= 1 march at ``step`` is coarser than ``_KAPPA`` of the unit length, one naming it."""
     unit = (param.p * (param.p + 1.0)) ** (1.0 / 3.0)
-    if param.p > 1.0 or step <= _KAPPA * unit:
+    if step <= _KAPPA * unit:
         return exc
     steps, on = math.ceil(endpoint * _march_rate(param)), f"on [0, {endpoint:g}]"
     cure = f"a grid of {steps} steps {on} (step {endpoint / steps:.15g})"
@@ -293,8 +306,8 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
     the last march row on a node of ``grid`` before the first with
     v = max(f'', 0)**(P-1) < ``_TAIL_SWITCH``, and at least ten steps of
     ``grid`` before E.  :func:`_march` steps ``grid`` on from the head.
-    With no such first row the whole march is sampled; when the head
-    spans fewer than ten steps of ``grid``, it is the wall row alone.
+    With no such first row the whole march is sampled, and with no such
+    last row (k = 0) ``grid`` is marched from the wall.
     """
     n, N = len(states) - 1, grid.step_count
     if n != N:
@@ -305,7 +318,6 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
             low = np.maximum(states[:, 2], 0.0) ** (param.p - 1.0) < _TAIL_SWITCH
             if low.any():
                 q = min((int(low.argmax()) - 1) // d, (N - 10) // D)
-                q = q if q * D >= 10 else 0
         head = _sample(param, states[: q * d + 1], grid.endpoint / n, np.empty((q * D + 1, 3))) if q else states[:1]
         states = head if q == common else _march(param, grid.step, N, head)
     return SolutionProfile(frame="starred", abscissae=grid.abscissae(), values=model.project_curvature(param, states))
@@ -340,12 +352,14 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     is signed, f*''(E) < 1e-8: for P > 1 the stored curvature past the
     touchdown may be an undershoot, which the final projection zeroes.
 
-    Raises ``ValueError`` when the step divides no candidate, and, as
-    ``GridSpec`` does, when the first candidate it divides spans fewer
-    than ten steps or a candidate reached spans more than
-    ``MAX_STEP_COUNT``; :class:`NoPlateauError` once the doubling cap
-    (2**10 * 5) is exhausted.
+    Raises ``ValueError`` when the step is not positive or divides no
+    candidate, and, as ``GridSpec`` does, when the first candidate it
+    divides spans fewer than ten steps or a candidate reached spans more
+    than ``MAX_STEP_COUNT``; :class:`NoPlateauError` once the doubling
+    cap (2**10 * 5) is exhausted.
     """
+    if not step > 0.0:  # as GridSpec words it; a zero step would divide by zero below
+        raise ValueError(f"step must be positive, got {step!r}")
     states = np.array([(0.0, 0.0, 1.0)])
     for endpoint in (_SEARCH_START * 2.0**j for j in range(_DOUBLING_CAP + 1)):
         ratio = endpoint / step
@@ -362,30 +376,18 @@ def find_truncated_boundary(param: ModelParameter, step: float) -> SolutionProfi
     raise NoPlateauError(f"no plateau: |f*''| stayed above {_SEARCH_TOL:g} up to {endpoint:g} (P={param.p:g})")
 
 
-def recover_lambda(param: ModelParameter, starred_slope: float) -> float:
-    """The reported group parameter lam = slope**((2P-1)/(P+1)), 1 at P = 0.5.
+def rescale_profile(starred: SolutionProfile, param: ModelParameter) -> SolutionProfile:
+    """Map a starred profile through the group action that takes its far-field slope s = f*'(E) to one.
 
-    lam = slope**(1/(1-delta)) is the literature's scaling f = f*/lam
-    that maps the starred far-field slope onto the physical boundary
-    condition f'(inf) = 1; the solve itself rescales by the slope.
-    """
-    if not 0.0 < starred_slope < math.inf:
-        raise ValueError(f"starred slope must be positive and finite, got {starred_slope!r}")
-    return starred_slope ** ((2.0 * param.p - 1.0) / (param.p + 1.0))
-
-
-def rescale_profile(starred: SolutionProfile, param: ModelParameter, slope: float) -> SolutionProfile:
-    """Map a starred profile through the group action that takes ``slope`` to one.
-
-    Abscissae scale with slope**((2-P)/(P+1)) and the columns
-    (f, f', f'') with slope**((1-2P)/(P+1)), 1/slope and
-    slope**(-3/(P+1)); slope = 1 is the identity apart from the frame
-    tag.  Uniform spacing is preserved.
+    Abscissae scale with s**((2-P)/(P+1)) and the columns (f, f', f'')
+    with s**((1-2P)/(P+1)), 1/s and s**(-3/(P+1)); s = 1 is the identity
+    apart from the frame tag.  Uniform spacing is preserved.
     """
     if starred.frame != "starred":
         raise ValueError("rescale_profile expects a starred-frame profile")
-    if not 0.0 < slope < math.inf:
-        raise ValueError(f"starred slope must be positive and finite, got {slope!r}")
+    slope = float(starred.df[-1])
+    if not slope > 0.0:
+        raise ValueError(f"starred slope must be positive, got {slope!r}")
     p, q = param.p, param.p + 1.0
     try:
         with np.errstate(over="raise"):
@@ -413,7 +415,8 @@ def solve(
     :func:`find_truncated_boundary` integrated, in one search; with no
     ``step`` it searches at 0.025 for P <= 1 and at 1e-3 for P > 1.  The
     boundary must be an integer multiple of the step, else
-    :class:`GridSpec` raises ``ValueError``.
+    :class:`GridSpec` raises ``ValueError``.  The result holds the
+    starred profile and its :func:`rescale_profile` image, nothing else.
     """
     if step is None:
         step = _AUTO_STEP if eta_inf == "auto" and param.p <= 1.0 else _DEFAULT_STEP
@@ -421,13 +424,4 @@ def solve(
         starred = find_truncated_boundary(param, float(step))
     else:
         starred = integrate_starred(param, GridSpec(float(step), 10.0 if eta_inf is None else float(eta_inf)))
-    slope = float(starred.df[-1])
-    return TransformResult(
-        param=param,
-        truncated_boundary=float(starred.abscissae[-1]),
-        starred_slope_at_infinity=slope,
-        lam=recover_lambda(param, slope),
-        skin_friction=slope ** (-3.0 / (param.p + 1.0)),
-        starred=starred,
-        physical=rescale_profile(starred, param, slope),
-    )
+    return TransformResult(param, starred, rescale_profile(starred, param))

@@ -8,7 +8,7 @@ PUBLIC = [
     "ConvergenceError", "CurvatureError", "DomainError", "GridSpec", "ModelParameter",
     "NoPlateauError", "ReferenceRow", "ShootingConfig", "ShotDivergedError", "SolutionProfile",
     "TransformResult", "find_truncated_boundary", "integrate", "integrate_starred", "make_parameter",
-    "matched_grid", "pohlhausen_skin_friction", "recover_lambda", "reference_table", "rescale_profile",
+    "matched_grid", "pohlhausen_skin_friction", "reference_table", "rescale_profile",
     "shoot", "solve", "solve_by_shooting",
 ]
 

@@ -16,11 +16,11 @@ from powerlaw_blasius import (
     GridSpec,
     NoPlateauError,
     SolutionProfile,
+    TransformResult,
     find_truncated_boundary,
     integrate,
     integrate_starred,
     make_parameter,
-    recover_lambda,
     rescale_profile,
     solve,
 )
@@ -387,6 +387,25 @@ class TestTail:
         marched = _one_call(param, grid)
         assert np.abs(profile.values - marched).max() <= 1e-11
 
+    def test_a_sampled_head_spans_at_least_ten_steps(self, monkeypatch):
+        # a head is sampled only from the 0.01 march onto a finer grid, where
+        # f*'' >= 1 - eta**3 / (6 P (P + 1)) keeps v = f''**(P-1) near 1 over
+        # the first ten caller steps; the shortest of these 61 heads spans 648
+        spans, heads, real = [], [], transform._sample
+
+        def spy(param, states, h, out):
+            spans.append(len(out) - 1)
+            return real(param, states, h, out)
+
+        monkeypatch.setattr(transform, "_sample", spy)
+        for p in np.linspace(1.01, 1.99, 15):
+            for step, eta_inf in [(1e-3, 10.0), (0.0032, 20.0), (0.005, 3.56), (0.002, 5.0), (1e-4, 4.0)]:
+                grid = GridSpec(step, eta_inf)
+                integrate_starred(make_parameter(p), grid)
+                heads += [span for span in spans if span < grid.step_count]
+                spans.clear()
+        assert len(heads) > 50 and min(heads) >= 10
+
     def test_grid_that_meets_the_march_only_at_the_ends_is_marched_from_the_wall(self):
         # 10001 steps share no node with the march's 1000 but the wall and
         # E, so no head can be sampled: k = 0
@@ -528,6 +547,12 @@ class TestFindTruncatedBoundary:
         with pytest.raises(ValueError, match="10 steps"):
             solve(make_parameter(1.0), step=1.0, eta_inf="auto")
 
+    @pytest.mark.parametrize("step", [0.0, -0.0])
+    def test_zero_step_is_refused_as_the_fixed_boundary_refuses_it(self, step):
+        for eta_inf in (10.0, "auto"):
+            with pytest.raises(ValueError, match=re.escape(f"step must be positive, got {step!r}")):
+                solve(make_parameter(1.0), step=step, eta_inf=eta_inf)
+
     def test_start_below_one_step_rejected(self):
         # 20 does not divide 5 or 10; the first candidate it divides is one step
         with pytest.raises(ValueError, match=re.escape("endpoint/step = 1: need at least 10 steps")):
@@ -570,48 +595,66 @@ class TestCandidatesTheStepDivides:
         assert calls == []
 
 
-class TestRecoverLambda:
-    def test_newtonian_square_root(self):
-        assert recover_lambda(make_parameter(1.0), 4.0) == 2.0
+def _with_slope(slope, starred=None):
+    """``starred`` (by default two rows on [0, 1]) with its far-field slope f*'(E) set to ``slope``."""
+    if starred is None:
+        starred = SolutionProfile("starred", [0.0, 1.0], [[0.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    values = starred.values.copy()
+    values[-1, 1] = slope
+    return SolutionProfile("starred", starred.abscissae, values)
 
-    def test_newtonian_benchmark_slope(self):
-        expected = float(mpmath.sqrt(mpmath.mpf("2.08540")))
-        assert recover_lambda(make_parameter(1.0), 2.08540) == pytest.approx(expected, rel=1e-14)
+
+def _result_with_slope(p, slope):
+    param, starred = make_parameter(p), _with_slope(slope)
+    return TransformResult(param, starred, rescale_profile(starred, param))
+
+
+class TestRecoverLambda:
+    """``TransformResult.lam`` = s**((2P-1)/(P+1)), read from the starred slope s."""
+
+    def test_newtonian_square_root(self):
+        assert _result_with_slope(1.0, 4.0).lam == 2.0
+
+    def test_newtonian_benchmark_slope(self, solve_cached):
+        result = solve_cached(1.0)
+        expected = float(mpmath.sqrt(mpmath.mpf(result.starred_slope_at_infinity)))
+        assert abs(result.starred_slope_at_infinity - 2.08540) < 5e-5
+        assert result.lam == pytest.approx(expected, rel=1e-14)
 
     def test_shear_thinning_slope(self):
         expected = float(mpmath.mpf(2.0) ** (-mpmath.mpf("0.4") / mpmath.mpf("1.3")))
-        assert recover_lambda(make_parameter(0.3), 2.0) == pytest.approx(expected, rel=1e-13)
+        assert _result_with_slope(0.3, 2.0).lam == pytest.approx(expected, rel=1e-13)
 
     def test_exponent_forms_agree(self):
         # 1/(1 - delta) and (2p-1)/(p+1) are the same exponent
         for p in (0.05, 0.3, 0.8, 1.0, 1.5):
-            param = make_parameter(p)
             for slope in (0.5, 1.0, 2.08540):
-                assert recover_lambda(param, slope) == pytest.approx(
-                    slope ** ((2.0 * p - 1.0) / (p + 1.0)), rel=1e-13
-                )
+                result = _result_with_slope(p, slope)
+                assert result.lam == pytest.approx(slope ** (1.0 / (1.0 - result.param.delta)), rel=1e-13)
 
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError, match="positive"):
-            recover_lambda(make_parameter(1.0), 0.0)
+            _result_with_slope(1.0, 0.0)
 
     @pytest.mark.parametrize("slope", [math.inf, math.nan, -1.0])
     def test_rejects_non_finite_slope(self, slope):
-        with pytest.raises(ValueError, match="starred slope must be positive and finite"):
-            recover_lambda(make_parameter(1.0), slope)
+        # no result for a slope that is not positive and finite: the
+        # profile refuses inf and nan, rescale_profile a negative slope
+        with pytest.raises(ValueError, match="values must be finite|starred slope must be positive, got -1.0"):
+            _result_with_slope(1.0, slope)
 
 
 class TestRescaleProfile:
     def test_identity_at_unit_lambda(self):
-        starred = integrate_starred(make_parameter(0.8), GridSpec(0.05, 10.0))
-        physical = rescale_profile(starred, make_parameter(0.8), 1.0)
+        starred = _with_slope(1.0, integrate_starred(make_parameter(0.8), GridSpec(0.05, 10.0)))
+        physical = rescale_profile(starred, make_parameter(0.8))
         assert physical.frame == "physical"
         assert np.array_equal(physical.abscissae, starred.abscissae)
         assert np.array_equal(physical.values, starred.values)
 
     def test_newtonian_group_action_on_node(self):
         starred = SolutionProfile("starred", [0.0, 1.0], [[0.0, 0.0, 1.0], [2.0, 4.0, 8.0]])
-        physical = rescale_profile(starred, make_parameter(1.0), 4.0)
+        physical = rescale_profile(starred, make_parameter(1.0))
         # slope 4 at P = 1: eta scales by 4**(1/2) = 2, (f, f', f'') by
         # (4**(-1/2), 1/4, 4**(-3/2)) = (1/2, 1/4, 1/8)
         assert physical.abscissae[1] == 2.0
@@ -619,29 +662,23 @@ class TestRescaleProfile:
 
     def test_rejects_physical_input(self):
         starred = integrate_starred(make_parameter(0.8), GridSpec(0.05, 10.0))
-        physical = rescale_profile(starred, make_parameter(0.8), 1.2)
+        physical = rescale_profile(starred, make_parameter(0.8))
         with pytest.raises(ValueError, match="starred"):
-            rescale_profile(physical, make_parameter(0.8), 1.2)
+            rescale_profile(physical, make_parameter(0.8))
 
     def test_rejects_nonpositive_lambda(self):
-        starred = integrate_starred(make_parameter(0.8), GridSpec(0.05, 10.0))
-        with pytest.raises(ValueError, match="positive"):
-            rescale_profile(starred, make_parameter(0.8), 0.0)
-
-    @pytest.mark.parametrize("slope", [math.inf, math.nan])
-    def test_rejects_non_finite_lambda(self, slope):
-        starred = integrate_starred(make_parameter(1.0), GridSpec(0.05, 10.0))
-        with pytest.raises(ValueError, match=f"starred slope must be positive and finite, got {slope!r}"):
-            rescale_profile(starred, make_parameter(1.0), slope)
+        starred = _with_slope(0.0, integrate_starred(make_parameter(0.8), GridSpec(0.05, 10.0)))
+        with pytest.raises(ValueError, match=re.escape("starred slope must be positive, got 0.0")):
+            rescale_profile(starred, make_parameter(0.8))
 
     # at P = 0.5, eta scales by the slope and (f, f', f'') by (1, 1/slope,
     # slope**-2): 1e-300 overflows a power, 1e308 only the product with eta
     @pytest.mark.parametrize("slope", [1e-300, 1e308])
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_its_own_error(self, slope):
-        starred = integrate_starred(make_parameter(0.5), GridSpec(0.05, 10.0))
+        starred = _with_slope(slope, integrate_starred(make_parameter(0.5), GridSpec(0.05, 10.0)))
         with pytest.raises(ValueError, match=re.escape(f"slope = {slope!r} overflows the group action at P=0.5")):
-            rescale_profile(starred, make_parameter(0.5), slope)
+            rescale_profile(starred, make_parameter(0.5))
 
 
 class TestAutoStep:
@@ -831,6 +868,35 @@ class TestSolve:
         assert result.skin_friction == s**-2.0 == result.physical.d2f[0]
         assert abs(result.skin_friction - 0.331746097) < 5e-10
 
+    @pytest.mark.parametrize(
+        "p, eta_inf, digests",
+        [
+            (0.05, None, ("f8f5d6b02778a72136fddf3d0199be77eea6d19eae42caf8dcad1f2bb668e086",
+                          "0ad583a98c6ee01f290ac646892ba2f7da8fd2677186a043003c8b7d4509e627")),
+            (0.5, None, ("9a766610e66b0ffde697e5a6db002ff039559586978a7defa73303227ddcaabf",
+                         "8e86c86ba7ff4e9cd34c92da1d50b764659993b2f9e2e844dd1a397d048eebe4")),
+            (1.0, None, ("aedfacfb78ac75d8baace06c8c437c2369d5101de104b1e39e14310d0174899e",)),
+            (1.5, None, ("689df748fbd0c28ab434fa3e65f9ab44c3dca55be996716c302a127cd44b9fe8",)),
+            (1.9, None, ("a5da700ed948d7ba6726d87a755ff38dd27251b341c3d49cb5d4a6e0a3a3ad1c",
+                         "e998152a1b0107d816bf55c0057aff7868570a298b29510b1e39b9f3b5c2f069")),
+            (0.6, "auto", ("528efb8e5f5f1cc2f75a9ed48a833e18bc8e4b46fb13d07bf4ac7fbc24b0e0ba",)),
+            (1.5, "auto", ("4aaaa2ce539c624a4ddafbc0e04f135de1c248fa0cc05265db4da396b0dd1829",)),
+        ],
+    )
+    def test_full_precision_outputs_are_pinned(self, p, eta_inf, digests, solve_cached):
+        # sha256 of the starred rows, the physical rows and abscissae, and
+        # f''(0) and lam in hex, recorded while TransformResult stored its
+        # scalars.  numpy's power ufunc is SVML on AVX-512 machines and libm
+        # elsewhere; they round some sampled rows apart, so where the digests
+        # differ both are pinned, AVX-512 first (NPY_DISABLE_CPU_FEATURES=X86_V4
+        # AVX512_ICL AVX512_SPR gives the second)
+        result = solve_cached(p, eta_inf=eta_inf)
+        digest = hashlib.sha256()
+        for array in (result.starred.values, result.physical.values, result.physical.abscissae):
+            digest.update(array.tobytes())
+        digest.update((result.skin_friction.hex() + result.lam.hex()).encode())
+        assert digest.hexdigest() in digests
+
     def test_wrong_lambda_exponent_not_reproduced(self, solve_cached):
         # the sign of the recovery exponent matters: 1/(delta-1) would give
         # ~3.01 at P = 1 instead of the classical 0.3320...
@@ -839,6 +905,37 @@ class TestSolve:
         wrong_skin = wrong ** (2.0 * result.param.delta - 1.0)
         assert abs(wrong_skin - 3.01) < 0.01
         assert abs(result.skin_friction - wrong_skin) > 1.0
+
+
+class TestUpperEnd:
+    """At P = 2 the starred IVP is f''' = -f/6 while f'' > 0, so f''(0) tends to a closed form L as P -> 2."""
+
+    @staticmethod
+    def limit():
+        """L = 1/f*'(eta0), eta0 the first zero of f*'' = sum c r**2 exp(r eta) over the roots r of r**3 = -1/6."""
+        with mpmath.workdps(30):
+            roots = [mpmath.root(mpmath.mpf(-1) / 6, 3, k) for k in range(3)]
+            # c from f*(0) = f*'(0) = 0 and f*''(0) = 1
+            c = mpmath.lu_solve(mpmath.matrix([[r**j for r in roots] for j in range(3)]), mpmath.matrix([0, 0, 1]))
+
+            def derivative(m, eta):
+                return mpmath.re(sum(ck * r**m * mpmath.exp(r * eta) for ck, r in zip(c, roots)))
+
+            eta = mpmath.mpf(0)
+            while derivative(2, eta + 0.25) > 0:
+                eta += 0.25
+            eta0 = mpmath.findroot(lambda x: derivative(2, x), (eta, eta + 0.25), solver="anderson")
+            return float(1 / derivative(1, eta0))
+
+    def test_closed_form(self):
+        assert self.limit() == pytest.approx(0.399790574054584, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1.99, 1.999, 1.9999])
+    def test_wall_curvature_approaches_it_linearly(self, p, solve_cached):
+        # (L - f''(0)) / (2 - P) reads 0.068427, 0.068402 and 0.068526 on
+        # the benchmark grid
+        gap = self.limit() - solve_cached(p).skin_friction
+        assert gap > 0.0 and 0.068 <= gap / (2.0 - p) <= 0.069
 
 
 class TestTaylorOracle:
