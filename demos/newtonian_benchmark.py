@@ -31,7 +31,7 @@ topfer = result.starred_slope_at_infinity ** -1.5
 print(f"Topfer's rule               = {topfer:.12f}")
 
 # Boyd's spectral computation gives 0.33205733621519630 with every digit
-# believed correct; the run above matches it to ~2e-15.  Its step-1e-3
-# profile is sampled from a march at step 1/40, 0.02 of the starred unit
-# length 2**(1/3), and f''(0) comes from the march's last row.
+# believed correct; the run above matches it to the last bit.  Its
+# step-1e-3 profile is sampled from a march at step 1/20, 0.04 of the
+# starred unit length 2**(1/3), and f''(0) comes from the march's last row.
 print(f"deviation from 0.33205733621519630: {abs(result.skin_friction - 0.33205733621519630):.2e}")

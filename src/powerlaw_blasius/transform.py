@@ -29,14 +29,15 @@ and the stepping loop's constant-derivative rows fill the rest.
 
 The step of a solve is the spacing of the profile it returns.  A grid
 finer than the march's is not marched: the march runs at step 1/m, at
-P <= 1 the largest not above 0.02 of the starred unit length
-(P(P+1))**(1/3) and at P > 1 0.01, and quintic Hermite interpolation
+P <= 1 the largest not above 0.04 of the starred unit length
+(P(P+1))**(1/3) and at P > 1 0.02, and septic Hermite interpolation
 fills the caller's grid from it (:func:`_sample`), keeping the marched
 bits on every march node, the last one, which gives f''(0), included.
 At P > 1 only the march's head is sampled: from the last march node
 before v = f''**(P-1) falls below 0.1 the march goes on along the
-caller's grid through the touchdown (515 stepped rows on the benchmark
-grid at P = 1.5).
+caller's grid through the touchdown (341 stepped rows on the benchmark
+grid at P = 1.5).  Every power the fill takes is libm's, so the sampled
+bits do not depend on numpy's SIMD dispatch.
 
 The truncated boundary is "found by trial" with ``eta_inf="auto"``:
 each candidate 5, 10, 20, ... extends one march as far as the fixed
@@ -49,6 +50,7 @@ P > 1, the grid its tail is stepped on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,21 +168,25 @@ _AUTO_STEP = 0.025
 
 #: A P <= 1 grid finer than it is marched at step 1/m, the largest not
 #: above kappa of the starred unit length (P(P+1))**(1/3), and filled by
-#: :func:`_sample`.  At 0.02 sampled rows are within 8.6e-15 of mpmath
-#: (0.03 failed 1e-13) and each step is at most ``_AUTO_STEP``.
-_KAPPA = 0.02
+#: :func:`_sample`.  At 0.04 sampled rows are within 3.1e-14 of mpmath
+#: (0.05 failed 1e-13, at 1.9e-13), half the steps of 0.02.  From
+#: P ~ 0.2 up the step is coarser than ``_AUTO_STEP``, which is then
+#: sampled too.
+_KAPPA = 0.04
 
-#: March step of a P > 1 grid finer than it.  A coarser head steps about
-#: as many rows as it saves: at P = 1.5 a 0.02 head (with a switch of
-#: 0.2) steps 481 rows and a kappa head (1/33) 799, against 515.
-_MARCH_STEP = 0.01
+#: March step of a P > 1 grid finer than it.  Over 52 P in [1.001, 1.999]
+#: on the benchmark grid the sampled head is within 5.3e-13 of a march on
+#: the caller's grid at 0.02, 2.4e-12 at 0.025, and 8.4e-10 (P = 1.275)
+#: at kappa of the unit length.
+_MARCH_STEP = 0.02
 
 #: At P > 1 the caller's grid is stepped from the last march node before
 #: the first with v = max(f'', 0)**(P-1) below this, through the
 #: touchdown: the m-th derivative of f'' grows like v**-m relative to
 #: it there, which the Hermite fill of f'' cannot follow.  Over 52 P in
-#: [1.001, 1.999] on four grids each column is then within 1.1e-12 of its
-#: largest value of a march on the caller's grid; 0.05 was 2.9e-11 off.
+#: [1.001, 1.999] on four grids each column is then within 5.3e-13 of its
+#: largest value of a march on the caller's grid (1.1e-12 with the
+#: quintic fill of a 0.01 head); 0.05 was 2.9e-11 off.
 _TAIL_SWITCH = 0.1
 
 
@@ -246,57 +252,86 @@ def _sign_loss(param: ModelParameter, step: float, endpoint: float, exc: Curvatu
     )
 
 
+def _derivatives(param: ModelParameter, states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(f, f', ..., f''''') at each row of ``states``, the top three from the ODE, with one libm power per row.
+
+    With c = P(P+1), g = max(f'', 0) (the clamp window counts as zero, as
+    in the RHS), G = g**(2-P) and r = g**(1-P) from ``math.pow``, so the
+    bits do not follow numpy's SIMD dispatch: G = g r, f''' = -f G / c,
+    G' = (2-P) r f''', f'''' = -(f' G + f G') / c, G'' = (2-P)(1-P)
+    (-f r**2 f''' / c) + (2-P) r f'''' and f''''' = -(f'' G + 2 f' G' +
+    f G'') / c.  No power is negative at P <= 1; at P > 1 every row must
+    have g > 0.
+    """
+    p, c = param.p, param.p * (param.p + 1.0)
+    f, df, d2f = states.T
+    g = np.maximum(d2f, 0.0)
+    # map holds one power at a time: a list of them all slowed later
+    # stepping under tracemalloc 12-fold (Python 3.11)
+    r = np.fromiter(map(math.pow, g, itertools.repeat(1.0 - p)), float, len(g))
+    G = g * r
+    d3f = -f * G / c
+    dG = (2.0 - p) * r * d3f
+    d4f = -(df * G + f * dG) / c
+    ddG = (2.0 - p) * (1.0 - p) * (-f * r * r * d3f / c) + (2.0 - p) * r * d4f
+    d5f = -(d2f * G + 2.0 * df * dG + f * ddG) / c
+    return f, df, d2f, d3f, d4f, d5f
+
+
 def _sample(param: ModelParameter, states: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     """``out`` with its N + 1 rows (f, f', f'') sampled from the march ``states`` at step ``h`` over the same span.
 
-    Each march interval is filled by quintic Hermite interpolation
+    Each march interval is filled by septic Hermite interpolation
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): f from
-    (f, f', f''), f' from (f', f'', f''') and f'' from (f'', f''', f'''')
-    at both of its ends, with f''' = -f g**(2-P) / c and f'''' =
-    -(f' g**(2-P) + (2-P) f g**(1-P) f''') / c from the ODE (g = f'',
-    c = P(P+1)), so no stage is added.  Node i of the N-step grid lies in
-    march interval (i n) // N at theta = (i n mod N) / N, from integers,
-    so every node on a march node, the last one included, keeps the
-    marched row bit for bit.  Both repeat with the period D = N / gcd(n, N)
-    nodes, d = n / gcd(n, N) intervals: node b D + r lies in interval
-    b d + (r d) // D at theta = (r d mod D) / D, the same double.  Each
-    column is one Horner pass in theta over the (gcd(n, N), D) array of
-    nodes, with one gather buffer, so the sampler holds two arrays the
-    size of ``out``.
+    (f, ..., f'''), f' from (f', ..., f'''') and f'' from (f'', ...,
+    f''''') at both of its ends, the three highest from the ODE
+    (:func:`_derivatives`), so no stage is added.  Where the curvature
+    has decayed to a few ulp the fill can dip below zero between march
+    nodes, so the sampled f'' is clamped at zero.  The march itself can
+    store f'' = -1e-323 there (P = 1 on E = 40), so ``out`` is returned
+    through :func:`model.project_curvature`, which zeroes such rows as
+    the profile would and raises on a real sign loss with its row of
+    ``out``.  Node i of the N-step grid lies in march interval (i n) // N
+    at theta = (i n mod N) / N, from integers, so every node on a march
+    node, the last one included, keeps the marched row bit for bit.  Both repeat with the
+    period D = N / gcd(n, N) nodes, d = n / gcd(n, N) intervals: node
+    b D + r lies in interval b d + (r d) // D at theta = (r d mod D) / D,
+    the same double.  Each column is one Horner pass in theta over the
+    (gcd(n, N), D) array of nodes, with one gather buffer, so the sampler
+    holds two arrays the size of ``out``.
     """
     n, N = len(states) - 1, len(out) - 1
-    p, c = param.p, param.p * (param.p + 1.0)
-    f, df, d2f = states.T
-    g = np.maximum(d2f, 0.0)  # the clamp window counts as zero, as in the RHS
-    power = g ** (2.0 - p)
-    d3f = -f * power / c
-    d4f = -(df * power + (2.0 - p) * f * g ** (1.0 - p) * d3f) / c
-    derivatives = (f, df, d2f, d3f, d4f)
+    derivatives = _derivatives(param, states)
     common = math.gcd(n, N)
     d, D = n // common, N // common
     offset, theta = np.divmod(np.arange(D) * d, D)
     theta = theta / D
     column, gathered = np.empty((common, D)), np.empty((common, D))
     for m in range(3):
-        u, du, ddu = derivatives[m : m + 3]
-        delta, a, b = u[1:] - u[:-1], h * du[:-1], h * h * ddu[:-1]
-        a1, b1 = h * du[1:], h * h * ddu[1:]
+        u, du, ddu, dddu = derivatives[m : m + 4]
+        delta, a, b, e = u[1:] - u[:-1], h * du[:-1], h**2 * ddu[:-1], h**3 * dddu[:-1]
+        a1, b1, e1 = h * du[1:], h**2 * ddu[1:], h**3 * dddu[1:]
         coefficients = (
             u[:-1],
             a,
             b / 2.0,
-            10.0 * delta - 6.0 * a - 4.0 * a1 - (3.0 * b - b1) / 2.0,
-            -15.0 * delta + 8.0 * a + 7.0 * a1 + (3.0 * b - 2.0 * b1) / 2.0,
-            6.0 * delta - 3.0 * a - 3.0 * a1 - (b - b1) / 2.0,
+            e / 6.0,
+            35.0 * delta - 20.0 * a - 15.0 * a1 - 5.0 * b + 5.0 * b1 / 2.0 - (4.0 * e + e1) / 6.0,
+            -84.0 * delta + 45.0 * a + 39.0 * a1 + 10.0 * b - 7.0 * b1 + e + e1 / 2.0,
+            70.0 * delta - 36.0 * a - 34.0 * a1 - 15.0 * b / 2.0 + 13.0 * b1 / 2.0 - (4.0 * e + 3.0 * e1) / 6.0,
+            -20.0 * delta + 10.0 * a + 10.0 * a1 + 2.0 * b - 2.0 * b1 + (e + e1) / 6.0,
         )
         # mode "clip" (every offset is in range) writes to out= unbuffered
         np.take(coefficients[-1].reshape(common, d), offset, axis=1, out=column, mode="clip")
         for coefficient in coefficients[-2::-1]:
             column *= theta
             column += np.take(coefficient.reshape(common, d), offset, axis=1, out=gathered, mode="clip")
+        if m == 2:
+            np.maximum(column, 0.0, out=column)
         out[:-1, m] = column.ravel()
     out[::D] = states[::d]
-    return out
+    del column, gathered  # the projection copies the f'' column
+    return model.project_curvature(param, out)
 
 
 def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) -> SolutionProfile:
@@ -315,7 +350,8 @@ def _starred_profile(param: ModelParameter, states: np.ndarray, grid: GridSpec) 
         d, D = n // common, N // common  # march row q d is node q D of grid
         q = common
         if param.p > 1.0:
-            low = np.maximum(states[:, 2], 0.0) ** (param.p - 1.0) < _TAIL_SWITCH
+            # <=: below P ~ 1.003 the threshold underflows to 0, and f'' = 0 is low
+            low = states[:, 2] <= math.pow(_TAIL_SWITCH, 1.0 / (param.p - 1.0))
             if low.any():
                 q = min((int(low.argmax()) - 1) // d, (N - 10) // D)
         head = _sample(param, states[: q * d + 1], grid.endpoint / n, np.empty((q * D + 1, 3))) if q else states[:1]
@@ -407,8 +443,8 @@ def solve(
     Two knobs set the starred grid: ``step``, the spacing of the
     returned profiles, and the truncated boundary ``eta_inf`` (default
     10.0; with the default step 1e-3 that is the published benchmark
-    grid).  A step finer than the march's (0.02 of the starred unit
-    length at P <= 1, about 0.01 at P > 1) is filled by interpolation
+    grid).  A step finer than the march's (0.04 of the starred unit
+    length at P <= 1, about 0.02 at P > 1) is filled by interpolation
     from the march, at P > 1 up to the touchdown's approach and stepped
     on from there; see the module docstring.
     ``eta_inf="auto"`` takes the starred profile the boundary search

@@ -72,7 +72,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "p, unit, cure",
         [
-            ("1e-10", "0.000464", "a grid of 1077220 steps on [0, 10] (step 9.28315478732292e-06)"),
+            ("1e-10", "0.000464", "a grid of 538610 steps on [0, 10] (step 1.85663095746458e-05)"),
             ("1e-300", "1e-100", "no grid of at most 1e+07 steps on [0, 10]"),
         ],
     )
@@ -82,7 +82,7 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", "--p", p)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: curvature sign lost at P={p}: step 0.001 is coarser than 0.02 of the starred unit length"
+            f"error: curvature sign lost at P={p}: step 0.001 is coarser than 0.04 of the starred unit length"
             f" (P(P+1))^(1/3) = {unit}; {cure} resolves it\n"
         )
 
@@ -128,15 +128,15 @@ class TestSolveCommand:
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_auto_csv_export_golden(self, tmp_path, capsys):
-        # E = 20 at P = 0.8: the search's march at step 1/45 passes its
+        # E = 20 at P = 0.8: the search's march at step 1/23 passes its
         # stops at eta* = 5 and 10; the hashes are those of one march from
         # the wall, sampled onto the step 0.01
         prefix = tmp_path / "prof"
         argv = ["solve", "--p", "0.8", "--step", "0.01", "--eta-inf", "auto", "--out", str(prefix)]
         assert run(capsys, *argv)[0] == 0
         golden = {
-            "starred": "db2467743b6c4ecbfc05cf7665dd9245830b9bc56351d9ca7442c085845620ab",
-            "physical": "772da081ef07a8585cff29ba3a8a16563b5af55fde4078afcd3112a543ab48d5",
+            "starred": "347f6778e6da78c9a594ef5ce327471daf47d111b410eb9eca94f873702ad22c",
+            "physical": "0c9a36e2356ce4c8a72920e6249385e686a26983ddf50974fd189e809cc9bf68",
         }
         for frame, digest in golden.items():
             data = (tmp_path / f"prof_{frame}.csv").read_bytes()
@@ -280,7 +280,7 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b418a24eb265bac87b0acb305f4e1dac0ed6135313b63351298f17b2cbe0466d"
+            "00f4121aebb07d678997077b8cac89b8c01b589f90e17c25bc7d6bf6a0f71673"
         )
 
     def test_bracket_reach_is_stated_in_help(self, capsys):

@@ -211,13 +211,13 @@ def _coarse_step(monkeypatch, p, high, step):
 #: matched grid ends at the physical image of E, so these pin the last
 #: bits of the transform's starred slope too.
 _VALIDATE_ROOTS = {
-    0.1: "0x1.a7281f4c8f9b7p-1",
-    0.2: "0x1.f61c30c3f6461p-2",
+    0.1: "0x1.a7281f4c8f9aap-1",
+    0.2: "0x1.f61c30c3f646dp-2",
     0.3: "0x1.90e96626cda93p-2",
-    0.4: "0x1.66ce1aa2ff571p-2",
-    0.8: "0x1.4b4f0e3888238p-2",
+    0.4: "0x1.66ce1aa2ff572p-2",
+    0.8: "0x1.4b4f0e388823ap-2",
     1.0: "0x1.5406d69e2306bp-2",
-    1.5: "0x1.7587312e3a9cdp-2",
+    1.5: "0x1.7587312e3a9cfp-2",
 }
 
 
